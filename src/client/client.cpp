@@ -554,39 +554,23 @@ ServerStatus Client::status() {
     rp.connected = dec.varint();
     st.region_peers.push_back(std::move(rp));
   }
-  if (!dec.ok()) fail_protocol("status: malformed response");
-  // Trailing failure-detector block; absent on pre-detector servers.
-  if (dec.remaining() > 0) {
-    const std::uint64_t suspected = dec.varint();
-    for (std::uint64_t i = 0; dec.ok() && i < suspected; ++i) {
-      st.suspected_peers.push_back(static_cast<causal::SiteId>(dec.varint()));
-    }
-    if (!dec.ok()) fail_protocol("status: malformed suspected list");
+  const std::uint64_t suspected = dec.varint();
+  for (std::uint64_t i = 0; dec.ok() && i < suspected; ++i) {
+    st.suspected_peers.push_back(static_cast<causal::SiteId>(dec.varint()));
   }
-  // Trailing engine-shard extension; absent on pre-sharding servers, in
-  // which case the totals above are the one (unlabeled) shard.
-  if (dec.remaining() > 0) {
-    const std::uint64_t shards = dec.varint();
-    for (std::uint64_t k = 0; dec.ok() && k < shards; ++k) {
-      ServerStatus::ShardRow row;
-      row.writes = dec.varint();
-      row.reads = dec.varint();
-      row.pending_updates = dec.varint();
-      row.queue_depth = dec.varint();
-      row.queue_capacity = dec.varint();
-      row.parked_reads = dec.varint();
-      row.covered_waiters = dec.varint();
-      st.shards.push_back(row);
-    }
-    if (!dec.ok()) fail_protocol("status: malformed shard rows");
-  }
-  if (st.shards.empty()) {
+  const std::uint64_t shards = dec.varint();
+  for (std::uint64_t k = 0; dec.ok() && k < shards; ++k) {
     ServerStatus::ShardRow row;
-    row.writes = st.writes;
-    row.reads = st.reads;
-    row.pending_updates = st.pending_updates;
+    row.writes = dec.varint();
+    row.reads = dec.varint();
+    row.pending_updates = dec.varint();
+    row.queue_depth = dec.varint();
+    row.queue_capacity = dec.varint();
+    row.parked_reads = dec.varint();
+    row.covered_waiters = dec.varint();
     st.shards.push_back(row);
   }
+  if (!dec.ok()) fail_protocol("status: malformed response");
   return st;
 }
 

@@ -68,11 +68,9 @@ struct ServerStatus {
   };
   std::vector<RegionPeers> region_peers;
   /// Peers this site's failure detector currently suspects (empty when
-  /// the server predates the detector or everything is healthy).
+  /// everything is healthy).
   std::vector<causal::SiteId> suspected_peers;
-  /// Per-engine-shard activity (one row on an unsharded site; a single
-  /// synthesized row aggregating the totals when the server predates
-  /// sharding and omits the extension).
+  /// Per-engine-shard activity (one row on an unsharded site).
   struct ShardRow {
     std::uint64_t writes = 0;
     std::uint64_t reads = 0;

@@ -14,8 +14,9 @@
 //   * delay_us / rate_per_s assign each queued message a due time; the
 //     sender thread does not flush a frame before it is due. Due times are
 //     clamped monotone per link so injected delay never reorders a channel:
-//     the receiver's seq dedup would otherwise discard late frames as
-//     duplicates, silently converting "slow" into "lossy".
+//     the receiver's Durability layer would otherwise see chan_seq gaps and
+//     drop the early updates until catch-up, converting "slow" into
+//     "lossy, then resent".
 //   * partition does NOT drop at enqueue. Outbound messages keep queueing
 //     (and eventually overflow drop-oldest, exactly as against a dead
 //     peer); the sender thread just refuses to flush, like TCP backing off

@@ -2,16 +2,12 @@
 
 namespace ccpr::net {
 
-std::vector<std::uint8_t> encode_frame(const Message& msg,
-                                       std::uint64_t incarnation,
-                                       std::uint64_t seq) {
+std::vector<std::uint8_t> encode_frame(const Message& msg) {
   Encoder enc(msg.body.size() + 32);
   enc.u32(0);  // placeholder for the length prefix, patched below
   enc.u8(static_cast<std::uint8_t>(msg.kind));
   enc.varint(msg.src);
   enc.varint(msg.dst);
-  enc.varint(incarnation);
-  enc.varint(seq);
   enc.varint(msg.chan_epoch);
   enc.varint(msg.chan_seq);
   enc.varint(msg.payload_bytes);
@@ -37,10 +33,10 @@ std::optional<std::uint32_t> decode_frame_size(const std::uint8_t* data,
   return framed;
 }
 
-std::optional<Frame> decode_frame_body(const std::uint8_t* data,
-                                       std::size_t len) {
+std::optional<Message> decode_frame_body(const std::uint8_t* data,
+                                         std::size_t len) {
   Decoder dec(data, len);
-  Frame frame;
+  Message msg;
   const std::uint8_t kind = dec.u8();
   switch (kind) {
     case static_cast<std::uint8_t>(MsgKind::kUpdate):
@@ -51,24 +47,22 @@ std::optional<Frame> decode_frame_body(const std::uint8_t* data,
     case static_cast<std::uint8_t>(MsgKind::kHeartbeat):
     case static_cast<std::uint8_t>(MsgKind::kHeartbeatAck):
     case static_cast<std::uint8_t>(MsgKind::kShardEnvelope):
-      frame.msg.kind = static_cast<MsgKind>(kind);
+      msg.kind = static_cast<MsgKind>(kind);
       break;
     default:
       return std::nullopt;
   }
-  frame.msg.src = static_cast<SiteId>(dec.varint());
-  frame.msg.dst = static_cast<SiteId>(dec.varint());
-  frame.incarnation = dec.varint();
-  frame.seq = dec.varint();
-  frame.msg.chan_epoch = dec.varint();
-  frame.msg.chan_seq = dec.varint();
-  frame.msg.payload_bytes = static_cast<std::uint32_t>(dec.varint());
+  msg.src = static_cast<SiteId>(dec.varint());
+  msg.dst = static_cast<SiteId>(dec.varint());
+  msg.chan_epoch = dec.varint();
+  msg.chan_seq = dec.varint();
+  msg.payload_bytes = static_cast<std::uint32_t>(dec.varint());
   const std::uint64_t body_len = dec.varint();
   if (!dec.ok() || body_len != dec.remaining()) return std::nullopt;
   const std::size_t body_start = len - dec.remaining();
-  frame.msg.body.assign(data + body_start, data + len);
-  if (frame.msg.payload_bytes > frame.msg.body.size()) return std::nullopt;
-  return frame;
+  msg.body.assign(data + body_start, data + len);
+  if (msg.payload_bytes > msg.body.size()) return std::nullopt;
+  return msg;
 }
 
 }  // namespace ccpr::net

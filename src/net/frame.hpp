@@ -5,25 +5,16 @@
 // Layout on the wire:
 //
 //   [u32 length]                      little-endian, bytes that follow
-//   [u8  kind][varint src][varint dst][varint incarnation][varint seq]
-//   [varint chan_epoch][varint chan_seq]
+//   [u8  kind][varint src][varint dst][varint chan_epoch][varint chan_seq]
 //   [varint payload_bytes][varint body_len][raw body]
 //
-// `chan_epoch`/`chan_seq` are the *durable* update-channel stamps carried in
-// Message itself (see message.hpp): assigned by the sending site server,
-// persisted across restarts, and used by the anti-entropy catch-up path.
-// Both are 0 (one byte each) on non-update traffic.
-//
-// `seq` is a per-(src, dst) channel sequence number (starting at 1) that
-// lets the receiver drop duplicates after a sender-side reconnect resends a
-// possibly-already-delivered frame. `incarnation` is a nonzero nonce drawn
-// once per sender *process instance*: seq watermarks are only comparable
-// within one incarnation, so when a site restarts (and its seq space resets
-// to 1) receivers see the new incarnation and reset their dedup watermark
-// instead of silently dropping every frame from the fresh process. The
-// decoder is bounds-checked via net::Decoder, and both sides reject frames
-// whose declared length exceeds a configurable maximum so a corrupt or
-// hostile length prefix cannot force an unbounded allocation.
+// `chan_epoch`/`chan_seq` are the update-channel stamps carried in Message
+// itself (see message.hpp): assigned by the sending site's Durability layer,
+// which owns per-channel FIFO and at-most-once admission at the receiver.
+// Both are 0 (one byte each) on non-update traffic. The decoder is
+// bounds-checked via net::Decoder, and both sides reject frames whose
+// declared length exceeds a configurable maximum so a corrupt or hostile
+// length prefix cannot force an unbounded allocation.
 #pragma once
 
 #include <cstdint>
@@ -43,19 +34,9 @@ inline constexpr std::size_t kFrameLenBytes = 4;
 /// garbage length prefix cannot exhaust memory.
 inline constexpr std::uint32_t kDefaultMaxFrameBytes = 16u * 1024 * 1024;
 
-struct Frame {
-  Message msg;
-  /// Sender process-instance nonce (nonzero for real senders).
-  std::uint64_t incarnation = 0;
-  /// Channel sequence number assigned by the sender (1-based).
-  std::uint64_t seq = 0;
-};
-
-/// Serialize `msg` with its sender incarnation and channel seq into a
-/// self-contained frame, including the leading u32 length prefix.
-std::vector<std::uint8_t> encode_frame(const Message& msg,
-                                       std::uint64_t incarnation,
-                                       std::uint64_t seq);
+/// Serialize `msg` into a self-contained frame, including the leading u32
+/// length prefix.
+std::vector<std::uint8_t> encode_frame(const Message& msg);
 
 /// Parse the u32 length prefix. Returns std::nullopt unless exactly
 /// kFrameLenBytes are supplied or the declared size exceeds `max_frame_bytes`
@@ -67,7 +48,7 @@ std::optional<std::uint32_t> decode_frame_size(const std::uint8_t* data,
 /// Decode a frame body (the bytes *after* the length prefix). Returns
 /// std::nullopt on any malformed input: truncation, trailing garbage,
 /// unknown message kind, or a body larger than the enclosing frame.
-std::optional<Frame> decode_frame_body(const std::uint8_t* data,
-                                       std::size_t len);
+std::optional<Message> decode_frame_body(const std::uint8_t* data,
+                                         std::size_t len);
 
 }  // namespace ccpr::net

@@ -37,13 +37,12 @@ struct Message {
   /// Bytes of `body` that carry the replicated value itself; the remainder
   /// is protocol control metadata.
   std::uint32_t payload_bytes = 0;
-  /// Durable per-(src, dst) update channel stamps, assigned by the sending
-  /// site server for kUpdate messages (0 on other kinds and on runtimes
-  /// without persistence). Unlike the transport-level incarnation/seq pair —
-  /// which restarts with the process and exists only to dedup reconnect
-  /// resends — chan_epoch survives restarts via the WAL and chan_seq is
-  /// dense per applied update, so receivers can detect gaps (updates lost
-  /// while they were down) and request catch-up.
+  /// Per-(src, dst) update channel stamps, assigned by the sending site
+  /// server's Durability layer for kUpdate messages (0 on other kinds and
+  /// on the in-process runtimes). chan_epoch survives restarts via the WAL
+  /// when the site has a data dir, and chan_seq is dense per update, so
+  /// receivers drop duplicates, detect gaps (updates lost while they were
+  /// down or to queue overflow) and request catch-up.
   std::uint64_t chan_epoch = 0;
   std::uint64_t chan_seq = 0;
 
@@ -67,7 +66,10 @@ inline MsgKind classify_kind(const Message& msg) noexcept {
 
 /// Receives messages addressed to one site. The transport guarantees that
 /// deliveries to a single sink never overlap (they are serialized), and that
-/// messages on one (src, dst) channel arrive in FIFO order.
+/// messages on one (src, dst) channel arrive in FIFO order. TcpTransport
+/// relaxes the second guarantee around a reconnect, where a resent batch
+/// can repeat or overtake frames; its site server restores FIFO and
+/// at-most-once for updates with the Durability channel stamps.
 class IMessageSink {
  public:
   virtual ~IMessageSink() = default;

@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <random>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -11,29 +10,12 @@
 
 namespace ccpr::net {
 
-namespace {
-
-/// Nonzero per-process-instance nonce. Entropy comes from the OS, not the
-/// clock, so two sites started in the same tick still differ.
-std::uint64_t draw_incarnation() {
-  std::random_device rd;
-  std::uint64_t nonce = 0;
-  do {
-    nonce = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  } while (nonce == 0);
-  return nonce;
-}
-
-}  // namespace
-
 TcpTransport::TcpTransport(Options opts, metrics::Metrics& metrics)
     : opts_(std::move(opts)), metrics_(metrics) {
   CCPR_EXPECTS(opts_.max_frame_bytes > 0);
   CCPR_EXPECTS(opts_.backoff_initial_ms > 0);
   if (opts_.max_batch_bytes == 0) opts_.max_batch_bytes = 1;
   if (opts_.max_batch_msgs == 0) opts_.max_batch_msgs = 1;
-  incarnation_ =
-      opts_.incarnation != 0 ? opts_.incarnation : draw_incarnation();
   for (const Peer& peer : opts_.peers) {
     if (peer.site == opts_.self) continue;
     auto link = std::make_unique<Link>();
@@ -98,7 +80,7 @@ void TcpTransport::send(Message msg) {
     metrics_.payload_bytes += msg.payload_bytes;
   }
   if (msg.dst == opts_.self) {
-    // Loopback: straight onto the delivery queue (seq 0 bypasses dedup).
+    // Loopback: straight onto the delivery queue.
     std::lock_guard lk(in_mu_);
     in_queue_.push_back(std::move(msg));
     in_cv_.notify_one();
@@ -117,8 +99,8 @@ void TcpTransport::send(Message msg) {
           return;
         }
         // Slow link: push the flush time into the future. Clamped monotone
-        // per link — reordering a channel would make the receiver's seq
-        // dedup discard the late frames as duplicates.
+        // per link — a reordered channel would show the receiver's
+        // Durability layer a chan_seq gap, costing a catch-up round trip.
         auto now = std::chrono::steady_clock::now();
         due = now;
         if (link->chaos.delay_us != 0) {
@@ -142,9 +124,9 @@ void TcpTransport::send(Message msg) {
         // that is not draining (dead or partitioned) would freeze every
         // client op and inbound apply on this site, and deadlock stop(),
         // which joins the apply thread before the transport shuts down.
-        // The dropped update is lost to that peer — within the crash model
-        // (no persistence yet: a peer down that long rejoins empty under a
-        // fresh incarnation) — and the drop is counted.
+        // The drop is counted; a dropped update leaves a chan_seq gap that
+        // the peer's Durability layer heals by catch-up from this site's
+        // retention window.
         const std::size_t excess =
             link->queue.size() - opts_.max_queue_msgs + 1;
         link->queue.erase(
@@ -152,7 +134,7 @@ void TcpTransport::send(Message msg) {
             link->queue.begin() + static_cast<std::ptrdiff_t>(excess));
         link->overflow_drops += excess;
       }
-      link->queue.push_back(Outbound{std::move(msg), ++link->next_seq, due});
+      link->queue.push_back(Outbound{std::move(msg), due});
     }
     link->cv.notify_all();
     return;
@@ -211,7 +193,7 @@ void TcpTransport::sender_loop(Link* link) {
     spans.clear();
     std::size_t batch_wire_bytes = 0;
     for (const Outbound& out : batch) {
-      frames.push_back(encode_frame(out.msg, incarnation_, out.seq));
+      frames.push_back(encode_frame(out.msg));
     }
     for (const auto& f : frames) {
       spans.push_back(WriteSpan{f.data(), f.size()});
@@ -256,7 +238,7 @@ void TcpTransport::sender_loop(Link* link) {
       } else {
         // Connection lost; drop the socket and retry the whole batch on a
         // fresh one. A prefix of it may have reached the peer — the
-        // receiver's seq dedup absorbs the duplicates.
+        // receiver's Durability layer drops the duplicated updates.
         {
           std::lock_guard lk(link->mu);
           link->sock.close();
@@ -363,13 +345,13 @@ void TcpTransport::reader_loop(InConn* conn) {
     if (!framed) break;  // oversized or zero length: drop the connection
     buf.resize(*framed);
     if (!read_all(conn->sock.fd(), buf.data(), buf.size())) break;
-    auto frame = decode_frame_body(buf.data(), buf.size());
-    if (!frame) break;  // malformed frame: drop the connection
-    if (frame->msg.dst != opts_.self || !known_peer(frame->msg.src)) break;
-    if (Link* link = link_for(frame->msg.src)) {
+    auto msg = decode_frame_body(buf.data(), buf.size());
+    if (!msg) break;  // malformed frame: drop the connection
+    if (msg->dst != opts_.self || !known_peer(msg->src)) break;
+    if (Link* link = link_for(msg->src)) {
       // Chaos partition blackholes the link from this site's point of
       // view: frames from the partitioned peer are read off the socket and
-      // discarded before the seq-dedup bookkeeping, as if never received.
+      // discarded before the receive counters, as if never received.
       std::lock_guard lk(link->mu);
       if (link->chaos.partition) {
         ++link->chaos_rx_drops;
@@ -378,25 +360,10 @@ void TcpTransport::reader_loop(InConn* conn) {
     }
     {
       std::lock_guard lk(in_mu_);
-      RecvStats& rs = recv_[frame->msg.src];
-      if (frame->seq != 0) {
-        if (frame->incarnation != rs.incarnation) {
-          // New sender process instance: its seq space restarted, so the
-          // old watermark is meaningless. Reset rather than dropping the
-          // restarted site's traffic as "duplicates".
-          if (rs.incarnation != 0) ++rs.incarnation_resets;
-          rs.incarnation = frame->incarnation;
-          rs.last_seq = 0;
-        }
-        if (frame->seq <= rs.last_seq) {
-          ++rs.dup_drops;
-          continue;
-        }
-        rs.last_seq = frame->seq;
-      }
+      RecvStats& rs = recv_[msg->src];
       ++rs.msgs;
       rs.bytes += buf.size() + kFrameLenBytes;
-      in_queue_.push_back(std::move(frame->msg));
+      in_queue_.push_back(std::move(*msg));
     }
     in_cv_.notify_one();
   }
@@ -515,8 +482,6 @@ std::vector<TcpTransport::PeerStats> TcpTransport::peer_stats() const {
       if (it != recv_.end()) {
         ps.msgs_recv = it->second.msgs;
         ps.bytes_recv = it->second.bytes;
-        ps.dup_drops = it->second.dup_drops;
-        ps.incarnation_resets = it->second.incarnation_resets;
       }
     }
     out.push_back(ps);

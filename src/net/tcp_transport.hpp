@@ -13,13 +13,13 @@
 //     flushes the coalesced frames with one writev, so a backlog costs one
 //     syscall per batch instead of one per frame. The thread dials lazily,
 //     retries with exponential backoff plus jitter, and resends the
-//     in-flight batch after a connection loss. Per-channel sequence numbers
-//     let the receiver drop the duplicates this can produce, so each
-//     (src, dst) channel stays FIFO and at-most-once for the lifetime of
-//     both endpoints. Each frame also carries the sender's per-process
-//     incarnation nonce; a receiver resets its seq watermark when the
-//     incarnation changes, so a restarted peer (whose seq space restarts
-//     at 1) is not mistaken for a duplicate stream and rejoins cleanly.
+//     in-flight batch after a connection loss. That resend can duplicate a
+//     prefix of the batch, and frames still buffered on the dead connection
+//     can land after the resend. The transport does not filter either:
+//     server::Durability stamps every update with a channel epoch and a
+//     dense chan_seq and admits updates in order at most once (dropping
+//     duplicates, turning gaps into catch-up requests); every other peer
+//     message kind is idempotent.
 //   * Per-peer queues are capped (max_queue_msgs) with a drop-oldest
 //     overflow policy: send() never blocks. The producer is the site's
 //     apply thread, so parking it on a peer that is not draining (dead or
@@ -37,11 +37,10 @@
 //   * A process crash loses whatever that process had queued or applied;
 //     messages queued toward a dead peer are retained up to the queue cap
 //     and delivered once the peer comes back (with its state reset — the
-//     protocol layer decides what that means). A peer down long enough to
-//     overflow its queue misses the dropped updates — within the crash
-//     model, since without persistence a restarted site returns empty and
-//     rejoins under a fresh incarnation anyway. See docs/RUNTIMES.md for
-//     the guarantee matrix.
+//     protocol layer decides what that means). Updates dropped by queue
+//     overflow leave a chan_seq gap that the receiver's Durability layer
+//     heals through catch-up from the sender's retention window. See
+//     docs/RUNTIMES.md for the guarantee matrix.
 #pragma once
 
 #include <atomic>
@@ -86,11 +85,6 @@ class TcpTransport final : public ITransport {
     std::uint32_t backoff_initial_ms = 10;
     std::uint32_t backoff_max_ms = 1000;
     std::uint64_t jitter_seed = 0x7cb1e;
-    /// Per-process-instance nonce stamped into every outbound frame so
-    /// receivers can tell a restarted sender from a duplicate stream.
-    /// 0 (the default) draws a random nonzero nonce at construction;
-    /// set explicitly only in tests that need determinism.
-    std::uint64_t incarnation = 0;
     /// Sender batching: coalesce queued frames into one writev flush up to
     /// this many bytes (a single frame always goes out regardless of its
     /// size). 1 effectively disables batching — one frame per syscall.
@@ -115,10 +109,8 @@ class TcpTransport final : public ITransport {
     std::uint64_t bytes_sent = 0;
     std::uint64_t msgs_recv = 0;
     std::uint64_t bytes_recv = 0;
-    std::uint64_t dup_drops = 0;   ///< frames discarded by seq dedup
     std::uint64_t connects = 0;    ///< successful dials (first + re-dials)
     std::uint64_t queued = 0;      ///< messages currently waiting to send
-    std::uint64_t incarnation_resets = 0;  ///< peer restarts observed
     std::uint64_t batches_sent = 0;  ///< writev flushes (≥1 frame each)
     std::uint64_t overflow_drops = 0;  ///< oldest msgs dropped at the cap
     std::uint64_t queue_cap = 0;     ///< configured cap (0 = unbounded)
@@ -173,7 +165,6 @@ class TcpTransport final : public ITransport {
  private:
   struct Outbound {
     Message msg;
-    std::uint64_t seq = 0;
     /// Earliest flush time, pushed into the future by chaos delay / rate
     /// pacing. Monotone non-decreasing within one queue (FIFO preserved).
     std::chrono::steady_clock::time_point due{};
@@ -191,7 +182,6 @@ class TcpTransport final : public ITransport {
     /// it writes (and retries) them. Guarded by mu; counted into the
     /// `queued` stat and awaited by flush().
     std::size_t inflight = 0;
-    std::uint64_t next_seq = 0;
     Socket sock;  // open/close/shutdown under mu; writes from sender thread
     std::uint64_t msgs_sent = 0;
     std::uint64_t bytes_sent = 0;
@@ -221,14 +211,6 @@ class TcpTransport final : public ITransport {
   struct RecvStats {
     std::uint64_t msgs = 0;
     std::uint64_t bytes = 0;
-    std::uint64_t dup_drops = 0;
-    /// Watermark of the highest seq seen, valid only within `incarnation`:
-    /// when a frame arrives from a new sender incarnation the watermark
-    /// resets, so a restarted peer's fresh seq space is not deduplicated
-    /// against the dead process's.
-    std::uint64_t last_seq = 0;
-    std::uint64_t incarnation = 0;
-    std::uint64_t incarnation_resets = 0;
   };
 
   void accept_loop();
@@ -252,8 +234,6 @@ class TcpTransport final : public ITransport {
   std::thread delivery_thread_;
 
   std::vector<std::unique_ptr<Link>> links_;  // fixed after construction
-
-  std::uint64_t incarnation_ = 0;  // fixed after construction, nonzero
 
   mutable std::mutex in_mu_;
   std::condition_variable in_cv_;

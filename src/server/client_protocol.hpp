@@ -39,9 +39,16 @@
 //                    peer_msgs_recv:varint peer_queued:varint
 //                    region:bytes                 (empty = no topology)
 //                    regions:varint {name:bytes peers:varint up:varint}...
-//                    (per-region peer health; `up` counts peers with an
-//                    established outbound connection. The flat-cluster
-//                    response is region:"" regions:0.)
+//                    suspected:varint {site:varint}...
+//                    shards:varint {writes:varint reads:varint
+//                                   pending:varint qdepth:varint
+//                                   qcap:varint parked_reads:varint
+//                                   covered_waiters:varint}...
+//                    (per-region peer health, where `up` counts peers with
+//                    an established outbound connection and the
+//                    flat-cluster response is region:"" regions:0; the
+//                    peers this site's failure detector currently believes
+//                    unreachable; one activity row per engine shard)
 //   kMetrics   -> ok text:bytes              (Prometheus exposition text:
 //                    merged protocol+transport counters, engine queue
 //                    depths, per-peer wire stats)
@@ -57,16 +64,6 @@
 //                    installs the rule toward every peer)
 //              -> ok                          (admin: net/chaos.hpp fault
 //                    injection on this site's transport links)
-//
-//   kStatus additionally ends with suspected:varint {site:varint}... — the
-//   peers this site's failure detector currently believes unreachable
-//   (missing on pre-detector servers; decoders treat absence as none).
-//
-//   kStatus finally ends with the engine-shard extension (missing on
-//   pre-sharding servers; decoders treat absence as one unlabeled shard):
-//     shards:varint {writes:varint reads:varint pending:varint
-//                    qdepth:varint qcap:varint parked_reads:varint
-//                    covered_waiters:varint}...
 //
 //   kEngineStat -> ok shards:varint parked_envelopes:varint
 //                     malformed_envelopes:varint

@@ -11,13 +11,15 @@
 //     checkpoints (serialized engine channel state + the protocol's own
 //     serialize_state) bound replay to the tail of one generation file.
 //
-//  2. Durable update channels. Every outbound kUpdate is stamped with this
-//     site's channel epoch (a random nonzero nonce persisted in the WAL, so
-//     it survives restarts — unlike the transport incarnation) and a dense
+//  2. Update channels — the runtime's only per-channel sequencer. Every
+//     outbound kUpdate is stamped with this site's channel epoch (a random
+//     nonzero nonce, persisted in the WAL when data_dir is set so it
+//     survives restarts, drawn fresh per process otherwise) and a dense
 //     per-destination chan_seq. Receivers track (epoch, applied) per source:
-//     duplicates are dropped, in-order updates are logged + applied, and a
-//     gap — updates the sender produced while we were down or that overflowed
-//     a dead peer's bounded outbound queue — triggers a kCatchupReq.
+//     duplicates (e.g. a transport batch resent after a reconnect) are
+//     dropped, in-order updates are logged + applied, and a gap — updates
+//     the sender produced while we were down or that overflowed a dead
+//     peer's bounded outbound queue — triggers a kCatchupReq.
 //
 //  3. Anti-entropy catch-up. Senders retain a bounded window of stamped
 //     kUpdate copies per destination. A kCatchupReq announces the

@@ -1,7 +1,5 @@
 #include "server/sharded_engine.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -450,44 +448,6 @@ std::optional<Durability::CatchupProgress> ShardedEngine::catchup_progress() {
     if (!p) return std::nullopt;
     all.recovered = all.recovered || p->recovered;
     all.complete = all.complete && p->complete;
-  }
-  return all;
-}
-
-std::optional<std::vector<std::uint8_t>> ShardedEngine::coverage_token(
-    causal::SiteId target) {
-  std::vector<std::vector<std::uint8_t>> per;
-  per.reserve(engines_.size());
-  for (auto& e : engines_) {
-    auto t = e->coverage_token(target);
-    if (!t) return std::nullopt;
-    per.push_back(std::move(*t));
-  }
-  return causal::combine_shard_tokens(per);
-}
-
-std::optional<bool> ShardedEngine::wait_covered(
-    std::vector<std::uint8_t> token, std::uint64_t wait_us) {
-  if (map_.shards() == 1) {
-    return engines_[0]->wait_covered(std::move(token), wait_us);
-  }
-  const auto split = causal::split_shard_tokens(token, map_.shards());
-  if (!split) return false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(wait_us);
-  bool all = true;
-  for (std::uint32_t k = 0; k < map_.shards(); ++k) {
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t remaining =
-        deadline > now
-            ? static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(
-                      deadline - now)
-                      .count())
-            : 0;
-    const auto v = engines_[k]->wait_covered((*split)[k], remaining);
-    if (!v) return std::nullopt;
-    all = all && *v;
   }
   return all;
 }

@@ -142,10 +142,6 @@ class ShardedEngine {
   std::optional<store::EngineStats> store_stats();
   std::optional<Durability::Stats> durability_stats();
   std::optional<Durability::CatchupProgress> catchup_progress();
-  std::optional<std::vector<std::uint8_t>> coverage_token(
-      causal::SiteId target);
-  std::optional<bool> wait_covered(std::vector<std::uint8_t> token,
-                                   std::uint64_t wait_us);
 
   std::vector<ProtocolEngine::QueueStats> queue_stats() const;
   /// Envelopes parked on unmet cross-shard tokens right now.

@@ -27,50 +27,49 @@ TEST(FrameTest, RoundTripAllKinds) {
     Message msg = make_msg(kind, 3, 7, {0xde, 0xad, 0xbe, 0xef, 0x01}, 2);
     msg.chan_epoch = 0x1234567;
     msg.chan_seq = 99;
-    const auto wire = encode_frame(msg, 0xabcd, 42);
+    const auto wire = encode_frame(msg);
 
     const auto size =
         decode_frame_size(wire.data(), kFrameLenBytes, kDefaultMaxFrameBytes);
     ASSERT_TRUE(size.has_value());
     EXPECT_EQ(*size, wire.size() - kFrameLenBytes);
 
-    const auto frame =
-        decode_frame_body(wire.data() + kFrameLenBytes, *size);
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->msg.kind, kind);
-    EXPECT_EQ(frame->msg.src, 3u);
-    EXPECT_EQ(frame->msg.dst, 7u);
-    EXPECT_EQ(frame->msg.body, msg.body);
-    EXPECT_EQ(frame->msg.payload_bytes, 2u);
-    EXPECT_EQ(frame->incarnation, 0xabcdu);
-    EXPECT_EQ(frame->seq, 42u);
-    EXPECT_EQ(frame->msg.chan_epoch, 0x1234567u);
-    EXPECT_EQ(frame->msg.chan_seq, 99u);
+    const auto got = decode_frame_body(wire.data() + kFrameLenBytes, *size);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->kind, kind);
+    EXPECT_EQ(got->src, 3u);
+    EXPECT_EQ(got->dst, 7u);
+    EXPECT_EQ(got->body, msg.body);
+    EXPECT_EQ(got->payload_bytes, 2u);
+    EXPECT_EQ(got->chan_epoch, 0x1234567u);
+    EXPECT_EQ(got->chan_seq, 99u);
   }
 }
 
 TEST(FrameTest, RoundTripEmptyBody) {
   const Message msg = make_msg(MsgKind::kFetchReq, 0, 1, {}, 0);
-  const auto wire = encode_frame(msg, 1, 1);
-  const auto frame = decode_frame_body(wire.data() + kFrameLenBytes,
-                                       wire.size() - kFrameLenBytes);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_TRUE(frame->msg.body.empty());
-  EXPECT_EQ(frame->seq, 1u);
+  const auto wire = encode_frame(msg);
+  const auto got = decode_frame_body(wire.data() + kFrameLenBytes,
+                                     wire.size() - kFrameLenBytes);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->body.empty());
+  EXPECT_EQ(got->chan_epoch, 0u);
+  EXPECT_EQ(got->chan_seq, 0u);
 }
 
-TEST(FrameTest, LargeSeqIncarnationAndSiteIds) {
-  const Message msg = make_msg(MsgKind::kUpdate, 0xfffffffeu, 0x12345678u,
-                               std::vector<std::uint8_t>(1000, 0x5a), 1000);
-  const auto wire =
-      encode_frame(msg, 0xdeadbeefcafef00dULL, 0xffffffffffffffffULL);
-  const auto frame = decode_frame_body(wire.data() + kFrameLenBytes,
-                                       wire.size() - kFrameLenBytes);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->msg.src, 0xfffffffeu);
-  EXPECT_EQ(frame->msg.dst, 0x12345678u);
-  EXPECT_EQ(frame->incarnation, 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(frame->seq, 0xffffffffffffffffULL);
+TEST(FrameTest, LargeChanStampsAndSiteIds) {
+  Message msg = make_msg(MsgKind::kUpdate, 0xfffffffeu, 0x12345678u,
+                         std::vector<std::uint8_t>(1000, 0x5a), 1000);
+  msg.chan_epoch = 0xdeadbeefcafef00dULL;
+  msg.chan_seq = 0xffffffffffffffffULL;
+  const auto wire = encode_frame(msg);
+  const auto got = decode_frame_body(wire.data() + kFrameLenBytes,
+                                     wire.size() - kFrameLenBytes);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->src, 0xfffffffeu);
+  EXPECT_EQ(got->dst, 0x12345678u);
+  EXPECT_EQ(got->chan_epoch, 0xdeadbeefcafef00dULL);
+  EXPECT_EQ(got->chan_seq, 0xffffffffffffffffULL);
 }
 
 TEST(FrameTest, SizeRejectsZero) {
@@ -97,7 +96,7 @@ TEST(FrameTest, SizeRejectsShortPrefix) {
 TEST(FrameTest, BodyRejectsTruncation) {
   const Message msg =
       make_msg(MsgKind::kUpdate, 1, 2, {1, 2, 3, 4, 5, 6, 7, 8}, 4);
-  const auto wire = encode_frame(msg, 6, 9);
+  const auto wire = encode_frame(msg);
   const std::uint8_t* body = wire.data() + kFrameLenBytes;
   const std::size_t body_len = wire.size() - kFrameLenBytes;
   // Every strict prefix of a valid frame body must be rejected.
@@ -109,7 +108,7 @@ TEST(FrameTest, BodyRejectsTruncation) {
 
 TEST(FrameTest, BodyRejectsTrailingGarbage) {
   const Message msg = make_msg(MsgKind::kUpdate, 1, 2, {1, 2, 3}, 0);
-  auto wire = encode_frame(msg, 6, 5);
+  auto wire = encode_frame(msg);
   wire.push_back(0x00);
   EXPECT_FALSE(decode_frame_body(wire.data() + kFrameLenBytes,
                                  wire.size() - kFrameLenBytes)
@@ -118,7 +117,7 @@ TEST(FrameTest, BodyRejectsTrailingGarbage) {
 
 TEST(FrameTest, BodyRejectsUnknownKind) {
   const Message msg = make_msg(MsgKind::kUpdate, 1, 2, {1, 2, 3}, 0);
-  auto wire = encode_frame(msg, 6, 5);
+  auto wire = encode_frame(msg);
   wire[kFrameLenBytes] = 0x7f;  // kind byte
   EXPECT_FALSE(decode_frame_body(wire.data() + kFrameLenBytes,
                                  wire.size() - kFrameLenBytes)
@@ -131,11 +130,11 @@ TEST(FrameTest, BodyRejectsUnknownKind) {
 
 TEST(FrameTest, BodyRejectsPayloadLargerThanBody) {
   const Message msg = make_msg(MsgKind::kUpdate, 1, 2, {1, 2, 3}, 3);
-  auto wire = encode_frame(msg, 6, 5);
+  auto wire = encode_frame(msg);
   // Locate the payload_bytes varint: kind(1) + src(1) + dst(1) +
-  // incarnation(1) + seq(1) + chan_epoch(1) + chan_seq(1) for these small
-  // values; bump it beyond body_len.
-  wire[kFrameLenBytes + 7] = 0x04;
+  // chan_epoch(1) + chan_seq(1) for these small values; bump it beyond
+  // body_len.
+  wire[kFrameLenBytes + 5] = 0x04;
   EXPECT_FALSE(decode_frame_body(wire.data() + kFrameLenBytes,
                                  wire.size() - kFrameLenBytes)
                    .has_value());
@@ -145,7 +144,7 @@ TEST(FrameTest, EncodedPrefixMatchesBodyLength) {
   const Message msg =
       make_msg(MsgKind::kFetchResp, 9, 4, std::vector<std::uint8_t>(300, 7),
                128);
-  const auto wire = encode_frame(msg, 88, 77);
+  const auto wire = encode_frame(msg);
   std::uint32_t declared = 0;
   std::memcpy(&declared, wire.data(), kFrameLenBytes);
   // Encoder writes little-endian; this test assumes a little-endian host

@@ -191,8 +191,9 @@ TEST(TcpClusterTest, KillAndRestartSurvivesCausalCheck) {
 
   // The inbound probe above only proves peers can reach site 2. Also prove
   // the reverse: a write accepted by the restarted site must propagate, i.e.
-  // the peers must accept site 2's fresh (seq-reset) outbound stream rather
-  // than deduplicating it against the dead incarnation's watermark. Runs
+  // the peers must accept site 2's fresh outbound stream (new channel epoch,
+  // chan_seq restarted at 1) rather than dropping it as duplicates of the
+  // dead process's updates. Runs
   // after the recorded phases and unrecorded, because the restarted site's
   // write ids restart too and would collide with phase-1 recordings.
   {

@@ -247,8 +247,7 @@ TEST(TcpTransportTest, RestartedSenderIsNotDroppedAsDuplicate) {
   b.connect(1, &sb);
   ASSERT_TRUE(b.start());
 
-  // First incarnation of site 0 pushes b's seq watermark for the channel
-  // up to 10, then dies.
+  // The first process of site 0 delivers 10 messages, then dies.
   {
     metrics::Metrics ma;
     CollectSink sa;
@@ -262,9 +261,10 @@ TEST(TcpTransportTest, RestartedSenderIsNotDroppedAsDuplicate) {
     a.stop();
   }
 
-  // Restarted site 0: a fresh process whose seq space restarts at 1. Its
-  // frames carry a new incarnation, so b must reset the watermark and
-  // deliver them instead of dropping them as duplicates of seqs 1..10.
+  // Restarted site 0: a fresh process on the same channel. The transport
+  // keeps no per-channel state that could mistake it for a duplicate
+  // stream; Durability's channel epoch (tested in durability_test) owns
+  // that distinction.
   metrics::Metrics ma2;
   CollectSink sa2;
   TcpTransport a2(options_for(0, ports), ma2);
@@ -274,15 +274,11 @@ TEST(TcpTransportTest, RestartedSenderIsNotDroppedAsDuplicate) {
     a2.send(make_msg(0, 1, static_cast<std::uint8_t>(100 + i)));
   }
   ASSERT_TRUE(sb.wait_for_count(15))
-      << "restarted sender's frames were dropped by the stale seq watermark";
+      << "restarted sender's frames were not delivered";
   const auto msgs = sb.snapshot();
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(msgs[10 + i].body[0], static_cast<std::uint8_t>(100 + i));
   }
-  const auto stats = b.peer_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].incarnation_resets, 1u);
-  EXPECT_EQ(stats[0].dup_drops, 0u);
   a2.stop();
   b.stop();
 }

@@ -163,13 +163,12 @@ TEST(WireFuzzTest, FrameBodySurvivesRandomInput) {
   util::Rng rng(0xfa7e);
   for (int round = 0; round < 4000; ++round) {
     const auto buf = random_bytes(rng, rng.below(128));
-    const auto frame = decode_frame_body(buf.data(), buf.size());
-    if (frame.has_value()) {
+    const auto msg = decode_frame_body(buf.data(), buf.size());
+    if (msg.has_value()) {
       // Anything accepted must satisfy the envelope invariants and
       // re-encode to the same bytes (prefix included).
-      EXPECT_LE(frame->msg.payload_bytes, frame->msg.body.size());
-      const auto wire =
-          encode_frame(frame->msg, frame->incarnation, frame->seq);
+      EXPECT_LE(msg->payload_bytes, msg->body.size());
+      const auto wire = encode_frame(*msg);
       ASSERT_GE(wire.size(), kFrameLenBytes);
       EXPECT_TRUE(std::equal(wire.begin() + kFrameLenBytes, wire.end(),
                              buf.begin(), buf.end()));
@@ -188,16 +187,18 @@ TEST(WireFuzzTest, FrameCorruptionNeverMisdecodesSilently) {
   msg.dst = 1;
   msg.body = random_bytes(rng, 24);
   msg.payload_bytes = 10;
-  const auto wire = encode_frame(msg, 0x1ca51, 1234567);
+  msg.chan_epoch = 0x1ca51;
+  msg.chan_seq = 1234567;
+  const auto wire = encode_frame(msg);
   for (std::size_t i = kFrameLenBytes; i < wire.size(); ++i) {
     for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80},
                                     std::uint8_t{0xff}}) {
       auto mutant = wire;
       mutant[i] = static_cast<std::uint8_t>(mutant[i] ^ flip);
-      const auto frame = decode_frame_body(mutant.data() + kFrameLenBytes,
-                                           mutant.size() - kFrameLenBytes);
-      if (frame.has_value()) {
-        EXPECT_LE(frame->msg.payload_bytes, frame->msg.body.size());
+      const auto got = decode_frame_body(mutant.data() + kFrameLenBytes,
+                                         mutant.size() - kFrameLenBytes);
+      if (got.has_value()) {
+        EXPECT_LE(got->payload_bytes, got->body.size());
       }
     }
   }
