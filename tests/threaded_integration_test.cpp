@@ -77,17 +77,22 @@ TEST_P(ThreadedSweep, ConcurrentClientsStayCausal) {
   expect_causal(c);
 }
 
+// gtest prints the raw bytes of each param, padding included, into the
+// test's listed name. Static storage zero-fills that padding, so the
+// names stay the same from build to build (stack temporaries would leak
+// whatever earlier calls left on the stack).
+const ThreadedSweepParam kThreadedSweepParams[] = {
+    {Algorithm::kOptTrack, 4, 2, "OptTrack_partial"},
+    {Algorithm::kOptTrack, 4, 2, "OptTrack_partial_shards4", 4},
+    {Algorithm::kOptTrack, 4, 4, "OptTrack_full"},
+    {Algorithm::kFullTrack, 4, 2, "FullTrack_partial"},
+    {Algorithm::kOptTrackCRP, 4, 4, "CRP"},
+    {Algorithm::kOptP, 4, 4, "OptP"},
+    {Algorithm::kAhamad, 4, 4, "Ahamad"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Algorithms, ThreadedSweep,
-    ::testing::Values(
-        ThreadedSweepParam{Algorithm::kOptTrack, 4, 2, "OptTrack_partial"},
-        ThreadedSweepParam{Algorithm::kOptTrack, 4, 2,
-                           "OptTrack_partial_shards4", 4},
-        ThreadedSweepParam{Algorithm::kOptTrack, 4, 4, "OptTrack_full"},
-        ThreadedSweepParam{Algorithm::kFullTrack, 4, 2, "FullTrack_partial"},
-        ThreadedSweepParam{Algorithm::kOptTrackCRP, 4, 4, "CRP"},
-        ThreadedSweepParam{Algorithm::kOptP, 4, 4, "OptP"},
-        ThreadedSweepParam{Algorithm::kAhamad, 4, 4, "Ahamad"}),
+    Algorithms, ThreadedSweep, ::testing::ValuesIn(kThreadedSweepParams),
     [](const ::testing::TestParamInfo<ThreadedSweepParam>& param_info) {
       return param_info.param.name;
     });
