@@ -5,6 +5,8 @@
 // Measures the CPU cost of one protocol write / local read (including
 // serialization) as n grows. The scheduler is drained outside the timed
 // region so only the operation's own processing is measured.
+// A second axis holds Opt-Track at n = 4 and grows the keyspace q: Table I
+// has no term in q, so per-op time there should follow |LOG|, not q.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -23,12 +25,13 @@ namespace {
 
 std::unique_ptr<causal::SimCluster> make_cluster(Algorithm alg,
                                                  std::uint32_t n,
+                                                 std::uint32_t q,
                                                  std::uint32_t p) {
   causal::SimCluster::Options opts;
   opts.latency = std::make_unique<sim::ConstantLatency>(10);
   opts.record_history = false;
   return std::make_unique<causal::SimCluster>(
-      alg, causal::ReplicaMap::even(n, 4 * n, p), std::move(opts));
+      alg, causal::ReplicaMap::even(n, q, p), std::move(opts));
 }
 
 std::uint32_t pick_p(Algorithm alg, std::uint32_t n) {
@@ -37,43 +40,87 @@ std::uint32_t pick_p(Algorithm alg, std::uint32_t n) {
              : n;
 }
 
-void BM_Write(benchmark::State& state, Algorithm alg) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  auto cluster = make_cluster(alg, n, pick_p(alg, n));
-  const std::uint32_t q = 4 * n;
+/// Every site writes its local vars once, everything delivered.
+void prefill(causal::SimCluster& cluster) {
+  for (causal::SiteId s = 0; s < cluster.replica_map().sites(); ++s) {
+    for (const auto v : cluster.replica_map().vars_at(s)) {
+      cluster.site(s).write(v, "prefill");
+    }
+  }
+  cluster.run();
+}
+
+void time_writes(benchmark::State& state, causal::SimCluster& cluster,
+                 std::uint32_t q) {
   std::uint32_t x = 0;
   int since_drain = 0;
   for (auto _ : state) {
-    cluster->site(0).write(x, "payload-12345678");
+    cluster.site(0).write(x, "payload-12345678");
     x = (x + 1) % q;
     if (++since_drain == 256) {
       state.PauseTiming();
-      cluster->run();  // deliver queued updates outside the timed region
+      cluster.run();  // deliver queued updates outside the timed region
       state.ResumeTiming();
       since_drain = 0;
     }
   }
+}
+
+void time_local_reads(benchmark::State& state, causal::SimCluster& cluster) {
+  const auto local = cluster.replica_map().vars_at(0);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    cluster.site(0).read(local[i % local.size()],
+                         [](const causal::Value&) {});
+    ++i;
+  }
+}
+
+void BM_Write(benchmark::State& state, Algorithm alg) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  auto cluster = make_cluster(alg, n, 4 * n, pick_p(alg, n));
+  time_writes(state, *cluster, 4 * n);
   state.SetLabel(causal::algorithm_name(alg));
 }
 
 void BM_LocalRead(benchmark::State& state, Algorithm alg) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  auto cluster = make_cluster(alg, n, pick_p(alg, n));
-  // Prefill: every site writes its local vars once, everything delivered.
-  for (causal::SiteId s = 0; s < n; ++s) {
-    for (const auto v : cluster->replica_map().vars_at(s)) {
-      cluster->site(s).write(v, "prefill");
-    }
-  }
-  cluster->run();
-  const auto local = cluster->replica_map().vars_at(0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    cluster->site(0).read(local[i % local.size()],
-                          [](const causal::Value&) {});
-    ++i;
-  }
+  auto cluster = make_cluster(alg, n, 4 * n, pick_p(alg, n));
+  prefill(*cluster);
+  time_local_reads(state, *cluster);
   state.SetLabel(causal::algorithm_name(alg));
+}
+
+// q axis: Opt-Track at n = 4 with q = state.range(0), prefilled so every
+// local var carries a LastWriteOn record before timing starts. The
+// log_entries counter is site 0's |LOG| after the timed loop.
+constexpr std::uint32_t kQAxisSites = 4;
+
+void BM_WriteQ(benchmark::State& state) {
+  const auto q = static_cast<std::uint32_t>(state.range(0));
+  auto cluster = make_cluster(Algorithm::kOptTrack, kQAxisSites, q,
+                              pick_p(Algorithm::kOptTrack, kQAxisSites));
+  prefill(*cluster);
+  time_writes(state, *cluster, q);
+  state.counters["log_entries"] =
+      static_cast<double>(cluster->site(0).log_entry_count());
+  state.SetLabel(causal::algorithm_name(Algorithm::kOptTrack));
+}
+
+void BM_LocalReadQ(benchmark::State& state) {
+  const auto q = static_cast<std::uint32_t>(state.range(0));
+  auto cluster = make_cluster(Algorithm::kOptTrack, kQAxisSites, q,
+                              pick_p(Algorithm::kOptTrack, kQAxisSites));
+  prefill(*cluster);
+  // Each read merges its var's LastWriteOn log into LOG; one untimed pass
+  // over the local vars lets LOG reach the size the timed reads see.
+  for (const auto v : cluster->replica_map().vars_at(0)) {
+    cluster->site(0).read(v, [](const causal::Value&) {});
+  }
+  time_local_reads(state, *cluster);
+  state.counters["log_entries"] =
+      static_cast<double>(cluster->site(0).log_entry_count());
+  state.SetLabel(causal::algorithm_name(Algorithm::kOptTrack));
 }
 
 }  // namespace
@@ -95,6 +142,9 @@ BENCHMARK_CAPTURE(BM_LocalRead, opt_track_crp, Algorithm::kOptTrackCRP)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK_CAPTURE(BM_LocalRead, optp, Algorithm::kOptP)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+BENCHMARK(BM_WriteQ)->Arg(16)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_LocalReadQ)->Arg(16)->Arg(4096)->Arg(16384);
 
 namespace {
 

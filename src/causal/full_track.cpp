@@ -190,12 +190,12 @@ std::uint64_t FullTrack::log_entry_count() const {
 }
 
 std::uint64_t FullTrack::meta_state_bytes() const {
-  std::uint64_t bytes = write_.byte_size() +
-                        static_cast<std::uint64_t>(n_) * sizeof(std::uint64_t);
-  for (const auto& [x, m] : last_write_on_) {
-    bytes += sizeof(VarId) + m.byte_size();
-  }
-  return bytes;
+  // Every matrix here is n x n, so each LastWriteOn record costs the same as
+  // the Write clock: no need to walk the map.
+  const std::uint64_t n = n_;
+  return write_.byte_size() + n * sizeof(std::uint64_t) +
+         static_cast<std::uint64_t>(last_write_on_.size()) *
+             (sizeof(VarId) + n * n * sizeof(std::uint64_t));
 }
 
 void FullTrack::sample_space() {

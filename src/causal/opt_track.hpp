@@ -61,6 +61,9 @@ class OptTrack final : public ProtocolBase {
 
   /// Test hooks.
   const Log& log() const noexcept { return log_; }
+  const std::unordered_map<VarId, Log>& last_write_on() const noexcept {
+    return last_write_on_;
+  }
   std::uint64_t applied_clock(SiteId j) const { return apply_[j]; }
   std::uint64_t clock() const noexcept { return clock_; }
 
@@ -86,7 +89,6 @@ class OptTrack final : public ProtocolBase {
     std::uint64_t clock;
     DestSet replicas;
     Log log;
-    std::vector<std::uint64_t> sender_apply;  // gossip mode only
     sim::SimTime receipt;
   };
 
@@ -102,6 +104,10 @@ class OptTrack final : public ProtocolBase {
   void absorb_apply_vector(SiteId from, net::Decoder& dec);
   void encode_apply_vector(net::Encoder& enc) const;
   void sample_space();
+  /// LastWriteOn[x] := lw, keeping last_write_bytes_ in step. Forwards so
+  /// the copy in do_write reuses the old record's storage.
+  template <typename L>
+  void set_last_write_on(VarId x, L&& lw);
 
   Options options_;
   std::uint64_t clock_ = 0;
@@ -111,6 +117,9 @@ class OptTrack final : public ProtocolBase {
   std::vector<std::uint64_t> known_apply_;
   Log log_;
   std::unordered_map<VarId, Log> last_write_on_;
+  /// Running sum over last_write_on_ of sizeof(VarId) + log_byte_size(lw),
+  /// so meta_state_bytes() costs O(|log_|) instead of a walk of every key.
+  std::uint64_t last_write_bytes_ = 0;
   PendingBuffer<Update> pending_;
 };
 

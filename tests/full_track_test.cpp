@@ -12,6 +12,7 @@ using ccpr::testing::constant_latency;
 using ccpr::testing::expect_causal;
 using ccpr::testing::index_of;
 using ccpr::testing::matrix_latency;
+using ccpr::testing::restored_copy;
 
 const FullTrack& ft(const SimCluster& c, SiteId s) {
   return dynamic_cast<const FullTrack&>(c.site(s));
@@ -164,6 +165,17 @@ TEST(FullTrackTest, MetaStateBytesGrowWithWrites) {
   EXPECT_GT(c.site(0).meta_state_bytes(), before);
   EXPECT_EQ(c.site(0).log_entry_count(), (1u + 2u) * 9u);
   c.run();
+}
+
+TEST(FullTrackTest, MetaStateBytesSurviveStateRoundTrip) {
+  SimCluster c(Algorithm::kFullTrack, ReplicaMap::even(4, 16, 2),
+               constant_latency(10));
+  for (VarId x = 0; x < 16; ++x) c.write(x % 4, x, "v");
+  c.run();
+  metrics::Metrics m;
+  const auto copy = restored_copy(c, Algorithm::kFullTrack, 1, {}, &m);
+  EXPECT_EQ(copy->meta_state_bytes(), c.site(1).meta_state_bytes());
+  EXPECT_EQ(copy->log_entry_count(), c.site(1).log_entry_count());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace ccpr::causal {
 namespace {
@@ -12,6 +13,7 @@ using ccpr::testing::constant_latency;
 using ccpr::testing::expect_causal;
 using ccpr::testing::index_of;
 using ccpr::testing::matrix_latency;
+using ccpr::testing::restored_copy;
 
 const OptTrack& ot(const SimCluster& c, SiteId s) {
   return dynamic_cast<const OptTrack&>(c.site(s));
@@ -207,6 +209,64 @@ TEST(OptTrackTest, LogStaysBoundedUnderSteadyTraffic) {
     EXPECT_LE(c.site(s).log_entry_count(), 8u);
   }
   expect_causal(c);
+}
+
+/// meta_state_bytes() recomputed from scratch with log_byte_size (gossip on,
+/// so the known-apply matrix counts).
+std::uint64_t recount_meta_bytes(const OptTrack& p, std::uint32_t n) {
+  std::uint64_t bytes = sizeof(std::uint64_t) +
+                        n * sizeof(std::uint64_t) +
+                        n * n * sizeof(std::uint64_t) +
+                        log_byte_size(p.log());
+  for (const auto& [x, lw] : p.last_write_on()) {
+    bytes += sizeof(VarId) + log_byte_size(lw);
+  }
+  return bytes;
+}
+
+TEST(OptTrackTest, MetaStateBytesMatchesRecount) {
+  struct Mode {
+    const char* name;
+    bool prune_cond2;
+    bool distribute_write;
+  };
+  for (const Mode mode : {Mode{"cond2", true, false},
+                          Mode{"no-cond2", false, false},
+                          Mode{"distribute", true, true}}) {
+    SCOPED_TRACE(mode.name);
+    auto opts = constant_latency(100);
+    opts.protocol.prune_cond2 = mode.prune_cond2;
+    opts.protocol.distribute_write = mode.distribute_write;
+    const ProtocolOptions proto = opts.protocol;
+    constexpr std::uint32_t n = 4;
+    constexpr std::uint32_t q = 64;
+    SimCluster c(Algorithm::kOptTrack, ReplicaMap::even(n, q, 2),
+                 std::move(opts));
+    util::Rng rng(17);
+    for (int round = 0; round < 40; ++round) {
+      // One write or read (local or remote) per site over a small keyspace,
+      // so keys are overwritten by logs of different sizes.
+      for (SiteId s = 0; s < n; ++s) {
+        const auto x = static_cast<VarId>(rng.below(q));
+        if (rng.chance(0.5)) {
+          c.write(s, x, "v");
+        } else {
+          c.read_async(s, x, [](const Value&) {});
+        }
+      }
+      c.run();
+      for (SiteId s = 0; s < n; ++s) {
+        EXPECT_EQ(ot(c, s).meta_state_bytes(), recount_meta_bytes(ot(c, s), n))
+            << "round " << round << " site " << s;
+      }
+    }
+    EXPECT_FALSE(ot(c, 1).last_write_on().empty());
+
+    metrics::Metrics m;
+    const auto copy = restored_copy(c, Algorithm::kOptTrack, 1, proto, &m);
+    EXPECT_EQ(copy->meta_state_bytes(), c.site(1).meta_state_bytes());
+    expect_causal(c);
+  }
 }
 
 }  // namespace

@@ -50,6 +50,26 @@ inline std::vector<causal::WriteId> applies_at(
   return out;
 }
 
+/// Rebuild site `s` of `cluster` in a fresh protocol of algorithm `alg`:
+/// serialize_state on the site, restore_state into the new instance.
+/// `metrics` must outlive the returned protocol.
+inline std::unique_ptr<causal::IProtocol> restored_copy(
+    const causal::SimCluster& cluster, causal::Algorithm alg,
+    causal::SiteId s, const causal::ProtocolOptions& opts,
+    metrics::Metrics* metrics) {
+  net::Encoder enc;
+  cluster.site(s).serialize_state(enc);
+  causal::Services svc;
+  svc.send = [](net::Message) {};
+  svc.now = [] { return sim::SimTime{0}; };
+  svc.metrics = metrics;
+  auto copy = causal::make_protocol(alg, s, cluster.replica_map(),
+                                    std::move(svc), opts);
+  net::Decoder dec(enc.buffer());
+  EXPECT_TRUE(copy->restore_state(dec));
+  return copy;
+}
+
 /// Index of `id` in `seq`, or -1.
 inline std::ptrdiff_t index_of(const std::vector<causal::WriteId>& seq,
                                causal::WriteId id) {
