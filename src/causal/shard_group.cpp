@@ -216,17 +216,7 @@ void ShardGroup::on_durable_checkpoint(std::uint64_t gen) {
 store::EngineStats ShardGroup::store_stats() const {
   store::EngineStats sum = inner_[0]->store_stats();
   for (std::size_t k = 1; k < inner_.size(); ++k) {
-    const store::EngineStats s = inner_[k]->store_stats();
-    sum.keys += s.keys;
-    sum.resident_bytes += s.resident_bytes;
-    sum.index_slots += s.index_slots;
-    sum.lookups += s.lookups;
-    sum.probes += s.probes;
-    sum.spilled_keys += s.spilled_keys;
-    sum.spill_segment_bytes += s.spill_segment_bytes;
-    sum.spill_reads += s.spill_reads;
-    sum.spill_writes += s.spill_writes;
-    sum.compactions += s.compactions;
+    sum.accumulate(inner_[k]->store_stats());
   }
   return sum;
 }

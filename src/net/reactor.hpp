@@ -14,7 +14,7 @@
 // buffer; each complete frame gets the connection's next request sequence
 // number and is handed to the RequestHandler *on the loop thread*. The
 // handler must not block — it enqueues async engine commands and returns.
-// Completions (on apply threads, admin executors, anywhere) call
+// Completions (on apply threads, or any other thread) call
 // send_response(ref, body); the reactor marshals that onto the owning loop
 // via its pending-op queue + eventfd, buffers out-of-order completions, and
 // releases responses strictly in request order per connection (clients

@@ -74,17 +74,7 @@ std::string render_metrics_text(
   // Shard-aggregated view feeds the classic unlabeled series so existing
   // dashboards keep working whatever the shard count is.
   ProtocolEngine::QueueStats engine;
-  for (const auto& s : engine_shards) {
-    engine.depth += s.depth;
-    engine.capacity += s.capacity;
-    engine.peak_depth += s.peak_depth;
-    engine.producer_waits += s.producer_waits;
-    engine.parked_reads += s.parked_reads;
-    engine.covered_waiters += s.covered_waiters;
-    for (std::size_t k = 0; k < ProtocolEngine::kCmdKinds; ++k) {
-      engine.enqueued[k] += s.enqueued[k];
-    }
-  }
+  for (const auto& s : engine_shards) engine.accumulate(s);
   Renderer r(site);
   // peer="<id>" plus region="<peer's region>" when the cluster is geo.
   const auto peer_label = [&site_regions](causal::SiteId peer) {

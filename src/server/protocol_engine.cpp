@@ -124,11 +124,10 @@ void ProtocolEngine::defer(std::function<void()> fn) {
   }
 }
 
-// ---- command builders (shared by the blocking and async front doors) ----
+// ---- async producer API ----
 
-void ProtocolEngine::submit_write(causal::VarId x, std::string data,
-                                  bool local_replica, WriteCb cb,
-                                  bool bounded) {
+void ProtocolEngine::async_write(causal::VarId x, std::string data,
+                                 bool local_replica, WriteCb cb) {
   auto cbp = std::make_shared<WriteCb>(std::move(cb));
   const bool ok = enqueue(
       CmdKind::kWrite,
@@ -144,11 +143,11 @@ void ProtocolEngine::submit_write(causal::VarId x, std::string data,
         defer([cbp, r] { (*cbp)(r); });
         if (durability_) durability_->maybe_checkpoint(proto_.get());
       },
-      bounded);
+      /*bounded=*/false);
   if (!ok) (*cbp)(std::nullopt);
 }
 
-void ProtocolEngine::submit_read(causal::VarId x, ReadCb cb, bool bounded) {
+void ProtocolEngine::async_read(causal::VarId x, ReadCb cb) {
   auto st = std::make_shared<ReadState>();
   st->cb = std::move(cb);
   const bool ok = enqueue(
@@ -162,12 +161,12 @@ void ProtocolEngine::submit_read(causal::VarId x, ReadCb cb, bool bounded) {
         // state so stop() can abort it if the response never arrives.
         if (!st->fired) parked_reads_.push_back(st);
       },
-      bounded);
+      /*bounded=*/false);
   if (!ok) st->cb(std::nullopt);
 }
 
-void ProtocolEngine::submit_snapshot(std::vector<causal::VarId> xs,
-                                     SnapshotCb cb, bool bounded) {
+void ProtocolEngine::async_snapshot(std::vector<causal::VarId> xs,
+                                    SnapshotCb cb) {
   auto cbp = std::make_shared<SnapshotCb>(std::move(cb));
   const bool ok = enqueue(
       CmdKind::kSnapshot,
@@ -185,12 +184,11 @@ void ProtocolEngine::submit_snapshot(std::vector<causal::VarId> xs,
           (*cbp)(std::move(out));
         });
       },
-      bounded);
+      /*bounded=*/false);
   if (!ok) (*cbp)(std::nullopt);
 }
 
-void ProtocolEngine::submit_token(causal::SiteId target, TokenCb cb,
-                                  bool bounded) {
+void ProtocolEngine::async_token(causal::SiteId target, TokenCb cb) {
   auto cbp = std::make_shared<TokenCb>(std::move(cb));
   const bool ok = enqueue(
       CmdKind::kToken,
@@ -200,11 +198,25 @@ void ProtocolEngine::submit_token(causal::SiteId target, TokenCb cb,
           (*cbp)(std::move(token));
         });
       },
-      bounded);
+      /*bounded=*/false);
   if (!ok) (*cbp)(std::nullopt);
 }
 
-void ProtocolEngine::submit_covered(
+void ProtocolEngine::async_covered(std::vector<std::uint8_t> token,
+                                   std::uint64_t wait_us, CoveredCb cb) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(wait_us);
+  enqueue_covered(std::move(token), /*has_deadline=*/true, deadline,
+                  std::move(cb), /*bounded=*/false);
+}
+
+void ProtocolEngine::post_covered_callback(std::vector<std::uint8_t> token,
+                                           CoveredCb cb, bool bounded) {
+  enqueue_covered(std::move(token), /*has_deadline=*/false, {}, std::move(cb),
+                  bounded);
+}
+
+void ProtocolEngine::enqueue_covered(
     std::vector<std::uint8_t> token, bool has_deadline,
     std::chrono::steady_clock::time_point deadline, CoveredCb cb,
     bool bounded) {
@@ -228,160 +240,68 @@ void ProtocolEngine::submit_covered(
   if (!ok) (*cbp)(std::nullopt);
 }
 
-// ---- blocking producer API ----
+// ---- report ----
 
-namespace {
-template <class T, class Comp>
-std::function<void(std::optional<T>)> completion_cb(std::shared_ptr<Comp> c) {
-  return [c](std::optional<T> v) {
-    if (v.has_value()) {
-      c->fulfill(std::move(*v));
-    } else {
-      c->abort();
-    }
-  };
-}
-}  // namespace
-
-std::optional<ProtocolEngine::WriteResult> ProtocolEngine::write(
-    causal::VarId x, std::string data, bool local_replica) {
-  auto comp = std::make_shared<Completion<WriteResult>>();
-  submit_write(x, std::move(data), local_replica,
-               completion_cb<WriteResult>(comp), /*bounded=*/true);
-  return comp->wait();
-}
-
-std::optional<causal::Value> ProtocolEngine::read(causal::VarId x) {
-  auto comp = std::make_shared<Completion<causal::Value>>();
-  submit_read(x, completion_cb<causal::Value>(comp), /*bounded=*/true);
-  return comp->wait();
-}
-
-std::optional<std::vector<causal::Value>> ProtocolEngine::snapshot(
-    const std::vector<causal::VarId>& xs) {
-  auto comp = std::make_shared<Completion<std::vector<causal::Value>>>();
-  submit_snapshot(xs, completion_cb<std::vector<causal::Value>>(comp),
-                  /*bounded=*/true);
-  return comp->wait();
-}
-
-std::optional<std::vector<std::uint8_t>> ProtocolEngine::coverage_token(
-    causal::SiteId target) {
-  auto comp = std::make_shared<Completion<std::vector<std::uint8_t>>>();
-  submit_token(target, completion_cb<std::vector<std::uint8_t>>(comp),
-               /*bounded=*/true);
-  return comp->wait();
-}
-
-std::optional<bool> ProtocolEngine::wait_covered(
-    std::vector<std::uint8_t> token, std::uint64_t wait_us) {
-  auto comp = std::make_shared<Completion<bool>>();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(wait_us);
-  submit_covered(std::move(token), /*has_deadline=*/true, deadline,
-                 completion_cb<bool>(comp), /*bounded=*/true);
-  return comp->wait();
-}
-
-// ---- async producer API ----
-
-void ProtocolEngine::async_write(causal::VarId x, std::string data,
-                                 bool local_replica, WriteCb cb) {
-  submit_write(x, std::move(data), local_replica, std::move(cb),
-               /*bounded=*/false);
-}
-
-void ProtocolEngine::async_read(causal::VarId x, ReadCb cb) {
-  submit_read(x, std::move(cb), /*bounded=*/false);
-}
-
-void ProtocolEngine::async_snapshot(std::vector<causal::VarId> xs,
-                                    SnapshotCb cb) {
-  submit_snapshot(std::move(xs), std::move(cb), /*bounded=*/false);
-}
-
-void ProtocolEngine::async_token(causal::SiteId target, TokenCb cb) {
-  submit_token(target, std::move(cb), /*bounded=*/false);
-}
-
-void ProtocolEngine::async_covered(std::vector<std::uint8_t> token,
-                                   std::uint64_t wait_us, CoveredCb cb) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(wait_us);
-  submit_covered(std::move(token), /*has_deadline=*/true, deadline,
-                 std::move(cb), /*bounded=*/false);
-}
-
-void ProtocolEngine::post_covered_callback(std::vector<std::uint8_t> token,
-                                           CoveredCb cb, bool bounded) {
-  submit_covered(std::move(token), /*has_deadline=*/false, {}, std::move(cb),
-                 bounded);
-}
-
-// ---- status / metrics ----
-
-std::optional<ProtocolEngine::StatusSnapshot> ProtocolEngine::status() {
-  auto comp = std::make_shared<Completion<StatusSnapshot>>();
+void ProtocolEngine::async_report(ReportCb cb) {
+  auto cbp = std::make_shared<ReportCb>(std::move(cb));
   const bool ok = enqueue(
       CmdKind::kStatus,
-      [this, comp] {
-        StatusSnapshot s;
-        s.writes = proto_metrics_->writes;
-        s.reads = proto_metrics_->reads;
-        s.pending_updates = proto_->pending_update_count();
-        comp->fulfill(s);
+      [this, cbp] {
+        defer([cbp, r = make_report()]() mutable { (*cbp)(std::move(r)); });
       },
-      /*bounded=*/true);
-  if (!ok) {
-    // Stopped-and-joined engines are quiescent; tests read post-mortem
-    // state this way. A stop() still in flight reports nullopt instead.
-    // lifecycle_mu_ keeps the protocol quiescent for the whole read — a
-    // concurrent start() would otherwise revive the apply thread between
-    // the check and the reads.
+      /*bounded=*/false);
+  if (ok) return;
+  // Stopped-and-joined engines are quiescent; tools and tests read
+  // post-mortem state this way. A stop() still in flight reports nullopt.
+  // lifecycle_mu_ keeps the protocol quiescent for the whole read — a
+  // concurrent start() would otherwise revive the apply thread between the
+  // check and the reads.
+  std::optional<Report> r;
+  {
     std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    StatusSnapshot s;
-    s.writes = proto_metrics_->writes;
-    s.reads = proto_metrics_->reads;
-    s.pending_updates = proto_->pending_update_count();
-    return s;
+    if (quiescent()) r = make_report();
   }
-  return comp->wait();
+  (*cbp)(std::move(r));
 }
 
-std::optional<metrics::Metrics> ProtocolEngine::protocol_metrics() {
-  auto comp = std::make_shared<Completion<metrics::Metrics>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus,
-      [this, comp] {
-        metrics::Metrics m = *proto_metrics_;
-        m.log_entries.set(proto_->log_entry_count());
-        m.meta_state_bytes.set(proto_->meta_state_bytes());
-        comp->fulfill(std::move(m));
-      },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    metrics::Metrics m = *proto_metrics_;
-    m.log_entries.set(proto_->log_entry_count());
-    m.meta_state_bytes.set(proto_->meta_state_bytes());
-    return m;
+ProtocolEngine::Report ProtocolEngine::make_report() {
+  Report r;
+  r.protocol = *proto_metrics_;
+  r.protocol.log_entries.set(proto_->log_entry_count());
+  r.protocol.meta_state_bytes.set(proto_->meta_state_bytes());
+  r.pending_updates = proto_->pending_update_count();
+  r.store = proto_->store_stats();
+  if (durability_) {
+    r.durability = durability_->stats();
+    r.catchup = durability_->progress();
   }
-  return comp->wait();
+  r.queue = queue_stats();
+  return r;
 }
 
-std::optional<store::EngineStats> ProtocolEngine::store_stats() {
-  auto comp = std::make_shared<Completion<store::EngineStats>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus, [this, comp] { comp->fulfill(proto_->store_stats()); },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    return proto_->store_stats();
-  }
-  return comp->wait();
+void ProtocolEngine::Report::merge(const Report& o) {
+  protocol.merge(o.protocol);
+  pending_updates += o.pending_updates;
+  store.accumulate(o.store);
+  Durability::Stats& d = durability;
+  d.wal_enabled = d.wal_enabled || o.durability.wal_enabled;
+  d.wal.records_appended += o.durability.wal.records_appended;
+  d.wal.bytes_appended += o.durability.wal.bytes_appended;
+  d.wal.fsyncs += o.durability.wal.fsyncs;
+  d.wal.checkpoints += o.durability.wal.checkpoints;
+  d.wal.recovered_records += o.durability.wal.recovered_records;
+  d.wal.truncated_bytes += o.durability.wal.truncated_bytes;
+  d.catchup_updates += o.durability.catchup_updates;
+  d.catchup_resent += o.durability.catchup_resent;
+  d.catchup_reqs_sent += o.durability.catchup_reqs_sent;
+  d.catchup_reqs_recv += o.durability.catchup_reqs_recv;
+  d.dup_drops += o.durability.dup_drops;
+  d.gap_drops += o.durability.gap_drops;
+  d.skipped += o.durability.skipped;
+  d.retained_msgs += o.durability.retained_msgs;
+  catchup.recovered = catchup.recovered || o.catchup.recovered;
+  catchup.complete = catchup.complete && o.catchup.complete;
+  queue.accumulate(o.queue);
 }
 
 bool ProtocolEngine::quiescent() const {
@@ -427,34 +347,6 @@ void ProtocolEngine::persist_meta_merge(causal::VarId x,
                                         const std::uint8_t* data,
                                         std::size_t len) {
   if (durability_) durability_->on_meta_merge(x, responder, data, len);
-}
-
-std::optional<Durability::Stats> ProtocolEngine::durability_stats() {
-  if (!durability_) return Durability::Stats{};
-  auto comp = std::make_shared<Completion<Durability::Stats>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus, [this, comp] { comp->fulfill(durability_->stats()); },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    return durability_->stats();
-  }
-  return comp->wait();
-}
-
-std::optional<Durability::CatchupProgress> ProtocolEngine::catchup_progress() {
-  if (!durability_) return Durability::CatchupProgress{};
-  auto comp = std::make_shared<Completion<Durability::CatchupProgress>>();
-  const bool ok = enqueue(
-      CmdKind::kStatus, [this, comp] { comp->fulfill(durability_->progress()); },
-      /*bounded=*/true);
-  if (!ok) {
-    std::lock_guard lifecycle(lifecycle_mu_);
-    if (!quiescent()) return std::nullopt;
-    return durability_->progress();
-  }
-  return comp->wait();
 }
 
 ProtocolEngine::QueueStats ProtocolEngine::queue_stats() const {

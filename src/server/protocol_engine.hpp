@@ -4,41 +4,41 @@
 // One apply thread owns the causal::IProtocol instance exclusively; nothing
 // else ever touches it (the protocols assert this — see the Services
 // re-entrancy contract in causal/protocol.hpp). Everything that used to
-// contend on SiteServer's big mutex is now a *producer*: client-connection
+// contend on SiteServer's big mutex is now a *producer*: reactor loop
 // threads, the transport delivery thread and the timer thread enqueue typed
-// commands onto one bounded MPSC queue and either block on a per-command
-// completion (legacy blocking API) or hand the engine a callback (async
-// API, used by the epoll reactor and the sharded-engine plumbing).
+// commands onto one MPSC queue and hand the engine a callback. The async
+// API below is the only way in; blocking callers (startup gates, tools,
+// tests) wrap it with util::block_on.
 //
 // Why this shape scales: protocol work is short and strictly serial anyway
 // (causal metadata has no exploitable intra-site parallelism), so the old
 // mutex bought no concurrency — it only bought contention, with every
 // producer paying wake-up/convoy costs on the protocol's critical path. The
 // queue turns that into a hand-off: producers pay one short queue-lock
-// critical section, the apply thread drains whole batches per wakeup, and
-// the queue bound gives admission control (a slow site pushes back on its
-// clients instead of buffering unboundedly).
+// critical section and the apply thread drains whole batches per wakeup.
+// The queue bound is admission control for the peer-side producers (peer
+// delivery, timers, catch-up ticks, envelope admission); client ops enqueue
+// unbounded, and their backpressure is the reactor's per-connection
+// in-flight cap.
 //
-// Callback discipline (async API): callbacks are invoked exactly once —
-// with a value on success, with std::nullopt if the engine is stopped or
-// stopping. They fire on the apply thread, but *deferred to the end of the
-// batch* that produced the result, after the batch-end hook has run. That
-// ordering is what makes cross-shard dependency tokens sound: the hook
-// publishes this shard's coverage tokens, so by the time any session
-// observes a completion, the published tokens already cover everything that
-// session saw (see sharded_engine.hpp). Callbacks may call the engine's
-// async API freely (those enqueues never block) but must not call the
-// blocking API.
+// Callback discipline: callbacks are invoked exactly once — with a value on
+// success, with std::nullopt if the engine is stopped or stopping. They
+// fire on the apply thread, but *deferred to the end of the batch* that
+// produced the result, after the batch-end hook has run. That ordering is
+// what makes cross-shard dependency tokens sound: the hook publishes this
+// shard's coverage tokens, so by the time any session observes a
+// completion, the published tokens already cover everything that session
+// saw (see sharded_engine.hpp). Callbacks may call the async API freely
+// (those enqueues never block) but must never wait on a result.
 //
-// Blocking semantics recovered without holding locks across protocol calls:
+// Waiting without holding locks across protocol calls:
 //   * reads that RemoteFetch complete later — the continuation fires on the
-//     apply thread during a subsequent message apply and fulfills the
-//     waiting producer's completion;
+//     apply thread during a subsequent message apply;
 //   * covered_by waits — waiters are parked engine-side and re-checked
 //     after every coverage-changing command, with a deadline (or without
 //     one, for the sharded engine's envelope admission).
 // On stop() every parked waiter and never-completed read is aborted, and
-// producers get std::nullopt (the server maps that to kShuttingDown).
+// callbacks get std::nullopt (the server maps that to kShuttingDown).
 #pragma once
 
 #include <atomic>
@@ -82,7 +82,8 @@ class ProtocolEngine {
   static const char* kind_name(CmdKind k) noexcept;
 
   struct Options {
-    /// Commands admitted before producers block (admission control).
+    /// Queue depth at which bounded producers (peer delivery, timers,
+    /// catch-up ticks, envelope admission) block. Client ops never wait.
     std::size_t queue_capacity = 4096;
   };
 
@@ -99,6 +100,16 @@ class ProtocolEngine {
       for (const auto v : enqueued) t += v;
       return t;
     }
+    /// Add another shard's counters (site-level totals).
+    void accumulate(const QueueStats& o) noexcept {
+      depth += o.depth;
+      capacity += o.capacity;
+      peak_depth += o.peak_depth;
+      producer_waits += o.producer_waits;
+      parked_reads += o.parked_reads;
+      covered_waiters += o.covered_waiters;
+      for (std::size_t k = 0; k < kCmdKinds; ++k) enqueued[k] += o.enqueued[k];
+    }
   };
 
   struct WriteResult {
@@ -106,10 +117,21 @@ class ProtocolEngine {
     std::uint64_t lamport = 0;  ///< 0 when the var is not locally replicated
   };
 
-  struct StatusSnapshot {
-    std::uint64_t writes = 0;
-    std::uint64_t reads = 0;
+  /// Everything the status and metrics surfaces read from one engine,
+  /// taken in a single apply slot so its fields agree with each other.
+  struct Report {
+    /// Protocol counters, with the log_entries and meta_state_bytes gauges
+    /// set to their current values.
+    metrics::Metrics protocol;
     std::uint64_t pending_updates = 0;
+    store::EngineStats store;
+    /// Defaults when the engine has no durability layer.
+    Durability::Stats durability;
+    Durability::CatchupProgress catchup;
+    QueueStats queue;
+
+    /// Fold another shard's report into this one (site totals).
+    void merge(const Report& o);
   };
 
   using WriteCb = std::function<void(std::optional<WriteResult>)>;
@@ -119,6 +141,7 @@ class ProtocolEngine {
   using TokenCb =
       std::function<void(std::optional<std::vector<std::uint8_t>>)>;
   using CoveredCb = std::function<void(std::optional<bool>)>;
+  using ReportCb = std::function<void(std::optional<Report>)>;
   /// Batch-end hook: runs on the apply thread after every batch that may
   /// have advanced the applied frontier (writes, peer applies, timers) and
   /// once at loop start (so recovered state is visible), always *before*
@@ -155,46 +178,27 @@ class ProtocolEngine {
   /// Launch the apply thread. The protocol must already be adopted.
   void start();
   /// Drain queued commands, abort parked reads/waiters, join the apply
-  /// thread. Producers blocked in enqueue or on completions observe
-  /// std::nullopt. Idempotent.
+  /// thread. Producers blocked on the queue bound return, and every
+  /// callback still pending observes std::nullopt. Idempotent.
   void stop();
   bool running() const noexcept;
 
-  // ---- blocking producer API (client/admin threads; never call from an
-  //      apply thread or an engine callback) ----
-  // Every call returns std::nullopt iff the engine is (or goes) stopped.
+  // ---- async producer API (reactor threads, sharded-engine plumbing) ----
+  // Only post_covered_callback(bounded=true) may wait on the queue bound
+  // (client backpressure lives at the connection layer); the callback
+  // always fires exactly once.
 
   /// `local_replica` tells the engine whether peek(x) is meaningful here
   /// (the caller owns the replica map; the engine stays protocol-only).
-  std::optional<WriteResult> write(causal::VarId x, std::string data,
-                                   bool local_replica);
-  std::optional<causal::Value> read(causal::VarId x);
-  /// Causally consistent multi-key cut; all vars must be locally replicated
-  /// (the caller validates — the engine just executes in one apply slot).
-  std::optional<std::vector<causal::Value>> snapshot(
-      const std::vector<causal::VarId>& xs);
-  std::optional<std::vector<std::uint8_t>> coverage_token(
-      causal::SiteId target);
-  /// Wait until the protocol covers `token`, up to `wait_us`. Returns the
-  /// final covered verdict (false on timeout).
-  std::optional<bool> wait_covered(std::vector<std::uint8_t> token,
-                                   std::uint64_t wait_us);
-  std::optional<StatusSnapshot> status();
-  /// Copy of the protocol-side metrics (taken on the apply thread, so it is
-  /// a consistent snapshot).
-  std::optional<metrics::Metrics> protocol_metrics();
-  /// Value-store engine counters (same apply-thread snapshot discipline).
-  std::optional<store::EngineStats> store_stats();
-
-  // ---- async producer API (reactor threads, sharded-engine plumbing) ----
-  // Enqueues never block on the queue bound (backpressure lives at the
-  // connection layer); the callback always fires exactly once.
-
   void async_write(causal::VarId x, std::string data, bool local_replica,
                    WriteCb cb);
   void async_read(causal::VarId x, ReadCb cb);
+  /// Causally consistent multi-key cut; all vars must be locally replicated
+  /// (the caller validates — the engine just executes in one apply slot).
   void async_snapshot(std::vector<causal::VarId> xs, SnapshotCb cb);
   void async_token(causal::SiteId target, TokenCb cb);
+  /// Wait until the protocol covers `token`, up to `wait_us`; the verdict is
+  /// false on timeout.
   void async_covered(std::vector<std::uint8_t> token, std::uint64_t wait_us,
                      CoveredCb cb);
   /// Deadline-less covered wait for the sharded engine's envelope
@@ -204,8 +208,13 @@ class ProtocolEngine {
   /// delivery/client threads; pass false from apply-thread contexts.
   void post_covered_callback(std::vector<std::uint8_t> token, CoveredCb cb,
                              bool bounded);
+  /// One Report from one apply slot. A stopped-and-joined engine answers
+  /// from its quiescent state, synchronously on the calling thread; only a
+  /// stop() still in flight yields std::nullopt. Never call it from an
+  /// apply thread: the stopped-engine path waits on stop().
+  void async_report(ReportCb cb);
 
-  // ---- non-blocking producer API ----
+  // ---- peer-side producers (bounded by default, no callback) ----
 
   /// Transport delivery: enqueue a peer message apply. Blocks only on the
   /// queue bound (with `bounded=false` it never blocks — required when the
@@ -231,44 +240,11 @@ class ProtocolEngine {
                           const std::uint8_t* data, std::size_t len);
 
   QueueStats queue_stats() const;
-  /// Snapshot of WAL/catch-up counters; defaults when no durability layer.
-  std::optional<Durability::Stats> durability_stats();
-  /// Catch-up gate view for SiteServer::start (see Durability).
-  std::optional<Durability::CatchupProgress> catchup_progress();
 
  private:
   struct Cmd {
     CmdKind kind;
     std::function<void()> run;  ///< executes on the apply thread
-  };
-
-  /// One blocking producer's rendezvous with the apply thread.
-  template <class T>
-  struct Completion {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::optional<T> value;
-    bool aborted = false;
-
-    void fulfill(T v) {
-      {
-        std::lock_guard lk(mu);
-        value = std::move(v);
-      }
-      cv.notify_all();
-    }
-    void abort() {
-      {
-        std::lock_guard lk(mu);
-        aborted = true;
-      }
-      cv.notify_all();
-    }
-    std::optional<T> wait() {
-      std::unique_lock lk(mu);
-      cv.wait(lk, [&] { return value.has_value() || aborted; });
-      return std::move(value);
-    }
   };
 
   /// A read whose RemoteFetch continuation has not fired yet.
@@ -297,16 +273,12 @@ class ProtocolEngine {
   void loop();
   void recheck_covered_waiters(bool expire_only);
   void abort_parked();
-
-  void submit_write(causal::VarId x, std::string data, bool local_replica,
-                    WriteCb cb, bool bounded);
-  void submit_read(causal::VarId x, ReadCb cb, bool bounded);
-  void submit_snapshot(std::vector<causal::VarId> xs, SnapshotCb cb,
-                       bool bounded);
-  void submit_token(causal::SiteId target, TokenCb cb, bool bounded);
-  void submit_covered(std::vector<std::uint8_t> token, bool has_deadline,
-                      std::chrono::steady_clock::time_point deadline,
-                      CoveredCb cb, bool bounded);
+  /// Shared body of async_covered and post_covered_callback.
+  void enqueue_covered(std::vector<std::uint8_t> token, bool has_deadline,
+                       std::chrono::steady_clock::time_point deadline,
+                       CoveredCb cb, bool bounded);
+  /// Apply thread, or a quiescent engine under lifecycle_mu_.
+  Report make_report();
 
   Options opts_;
   std::unique_ptr<causal::IProtocol> proto_;
@@ -318,7 +290,7 @@ class ProtocolEngine {
 
   /// Serializes start()/stop() against each other (two concurrent stop()s
   /// must not both reach the join) and against the quiescent-fallback
-  /// protocol reads in status()/protocol_metrics(). Lock order:
+  /// protocol reads in async_report(). Lock order:
   /// lifecycle_mu_ before mu_; never taken on the apply thread.
   mutable std::mutex lifecycle_mu_;
   mutable std::mutex mu_;

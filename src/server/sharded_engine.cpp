@@ -344,112 +344,41 @@ void ShardedEngine::async_covered(std::vector<std::uint8_t> token,
   }
 }
 
-// ---- blocking aggregation API ----
-
-std::optional<ProtocolEngine::StatusSnapshot> ShardedEngine::status() {
-  ProtocolEngine::StatusSnapshot sum;
-  for (auto& e : engines_) {
-    const auto s = e->status();
-    if (!s) return std::nullopt;
-    sum.writes += s->writes;
-    sum.reads += s->reads;
-    sum.pending_updates += s->pending_updates;
+void ShardedEngine::async_report(ReportCb cb) {
+  struct Fan {
+    std::atomic<std::uint32_t> remaining{0};
+    std::vector<std::optional<ProtocolEngine::Report>> shards;
+    ReportCb cb;
+  };
+  auto st = std::make_shared<Fan>();
+  st->remaining.store(map_.shards(), std::memory_order_relaxed);
+  st->shards.resize(map_.shards());
+  st->cb = std::move(cb);
+  for (std::uint32_t k = 0; k < map_.shards(); ++k) {
+    engines_[k]->async_report(
+        [this, st, k](std::optional<ProtocolEngine::Report> r) {
+          st->shards[k] = std::move(r);
+          if (st->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+            return;
+          }
+          Report out;
+          out.shards.reserve(st->shards.size());
+          for (auto& s : st->shards) {
+            if (!s) {
+              st->cb(std::nullopt);
+              return;
+            }
+            if (out.shards.empty()) {
+              out.site = *s;
+            } else {
+              out.site.merge(*s);
+            }
+            out.shards.push_back(std::move(*s));
+          }
+          out.site.pending_updates += parked_envelopes();
+          st->cb(std::move(out));
+        });
   }
-  sum.pending_updates += parked_envelopes();
-  return sum;
-}
-
-std::optional<std::vector<ShardedEngine::ShardStat>>
-ShardedEngine::per_shard_stats() {
-  std::vector<ShardStat> out;
-  out.reserve(engines_.size());
-  for (auto& e : engines_) {
-    const auto s = e->status();
-    if (!s) return std::nullopt;
-    ShardStat row;
-    row.queue = e->queue_stats();
-    row.writes = s->writes;
-    row.reads = s->reads;
-    row.pending_updates = s->pending_updates;
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::optional<metrics::Metrics> ShardedEngine::protocol_metrics() {
-  std::optional<metrics::Metrics> merged;
-  for (auto& e : engines_) {
-    auto m = e->protocol_metrics();
-    if (!m) return std::nullopt;
-    if (!merged) {
-      merged = std::move(m);
-    } else {
-      merged->merge(*m);
-    }
-  }
-  return merged;
-}
-
-std::optional<store::EngineStats> ShardedEngine::store_stats() {
-  std::optional<store::EngineStats> sum;
-  for (auto& e : engines_) {
-    const auto s = e->store_stats();
-    if (!s) return std::nullopt;
-    if (!sum) {
-      sum = *s;
-      continue;
-    }
-    sum->keys += s->keys;
-    sum->resident_bytes += s->resident_bytes;
-    sum->index_slots += s->index_slots;
-    sum->lookups += s->lookups;
-    sum->probes += s->probes;
-    sum->spilled_keys += s->spilled_keys;
-    sum->spill_segment_bytes += s->spill_segment_bytes;
-    sum->spill_reads += s->spill_reads;
-    sum->spill_writes += s->spill_writes;
-    sum->compactions += s->compactions;
-  }
-  return sum;
-}
-
-std::optional<Durability::Stats> ShardedEngine::durability_stats() {
-  std::optional<Durability::Stats> sum;
-  for (auto& e : engines_) {
-    const auto s = e->durability_stats();
-    if (!s) return std::nullopt;
-    if (!sum) {
-      sum = *s;
-      continue;
-    }
-    sum->wal_enabled = sum->wal_enabled || s->wal_enabled;
-    sum->wal.records_appended += s->wal.records_appended;
-    sum->wal.bytes_appended += s->wal.bytes_appended;
-    sum->wal.fsyncs += s->wal.fsyncs;
-    sum->wal.checkpoints += s->wal.checkpoints;
-    sum->wal.recovered_records += s->wal.recovered_records;
-    sum->wal.truncated_bytes += s->wal.truncated_bytes;
-    sum->catchup_updates += s->catchup_updates;
-    sum->catchup_resent += s->catchup_resent;
-    sum->catchup_reqs_sent += s->catchup_reqs_sent;
-    sum->catchup_reqs_recv += s->catchup_reqs_recv;
-    sum->dup_drops += s->dup_drops;
-    sum->gap_drops += s->gap_drops;
-    sum->skipped += s->skipped;
-    sum->retained_msgs += s->retained_msgs;
-  }
-  return sum;
-}
-
-std::optional<Durability::CatchupProgress> ShardedEngine::catchup_progress() {
-  Durability::CatchupProgress all;
-  for (auto& e : engines_) {
-    const auto p = e->catchup_progress();
-    if (!p) return std::nullopt;
-    all.recovered = all.recovered || p->recovered;
-    all.complete = all.complete && p->complete;
-  }
-  return all;
 }
 
 std::vector<ProtocolEngine::QueueStats> ShardedEngine::queue_stats() const {

@@ -38,7 +38,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -57,13 +56,14 @@ namespace ccpr::server {
 
 class ShardedEngine {
  public:
-  /// Per-shard stats row for status/metrics surfaces.
-  struct ShardStat {
-    ProtocolEngine::QueueStats queue;
-    std::uint64_t writes = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t pending_updates = 0;
+  /// One report per shard plus their merge. `site.pending_updates` also
+  /// counts the envelopes parked on cross-shard tokens; the shard rows do
+  /// not.
+  struct Report {
+    ProtocolEngine::Report site;
+    std::vector<ProtocolEngine::Report> shards;
   };
+  using ReportCb = std::function<void(std::optional<Report>)>;
 
   ShardedEngine(std::uint32_t shards, causal::SiteId self,
                 std::uint32_t n_sites, ProtocolEngine::Options engine_opts);
@@ -134,14 +134,10 @@ class ShardedEngine {
   void async_covered(std::vector<std::uint8_t> token, std::uint64_t wait_us,
                      ProtocolEngine::CoveredCb cb);
 
-  // ---- blocking aggregation API (admin/status threads, tests) ----
-
-  std::optional<ProtocolEngine::StatusSnapshot> status();
-  std::optional<std::vector<ShardStat>> per_shard_stats();
-  std::optional<metrics::Metrics> protocol_metrics();
-  std::optional<store::EngineStats> store_stats();
-  std::optional<Durability::Stats> durability_stats();
-  std::optional<Durability::CatchupProgress> catchup_progress();
+  /// Fan ProtocolEngine::async_report out to every shard; cb fires once,
+  /// on the thread of the last shard to answer, with nullopt if any shard
+  /// did. Same threading rule: never call it from an apply thread.
+  void async_report(ReportCb cb);
 
   std::vector<ProtocolEngine::QueueStats> queue_stats() const;
   /// Envelopes parked on unmet cross-shard tokens right now.

@@ -8,11 +8,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "causal/value_codec.hpp"
 #include "server/metrics_text.hpp"
 #include "util/assert.hpp"
+#include "util/block_on.hpp"
 
 namespace ccpr::server {
 
@@ -228,31 +230,24 @@ bool SiteServer::start() {
   // Catch-up gate: a site restarting from a WAL answers clients only after
   // every peer has streamed the updates every shard missed (bounded by the
   // timeout — a dead peer must not wedge the restart forever).
-  const auto progress = engine_->catchup_progress();
-  if (progress && progress->recovered) {
-    const std::uint32_t timeout_ms = config_.catchup_timeout_ms > 0
-                                         ? config_.catchup_timeout_ms
-                                         : 2000;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      const auto p = engine_->catchup_progress();
-      if (!p || p->complete) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint32_t timeout_ms =
+      config_.catchup_timeout_ms > 0 ? config_.catchup_timeout_ms : 2000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const auto r = report_now();
+    if (!r || !r->site.catchup.recovered || r->site.catchup.complete ||
+        std::chrono::steady_clock::now() >= deadline) {
+      break;
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // Admin executor before the reactor: the first frame may be a kStatus.
-  {
-    std::lock_guard lk(admin_mu_);
-    admin_stop_ = false;
-  }
-  admin_thread_ = std::thread([this] { admin_loop(); });
 
   net::Socket listener = net::tcp_listen(config_.sites[self_].host,
                                          config_.sites[self_].client_port,
                                          &client_port_);
   if (!listener.valid()) {
-    stop_admin_and_core();
+    stop_core();
     return false;
   }
   net::Reactor::Options ropts;
@@ -267,20 +262,14 @@ bool SiteServer::start() {
       });
   if (!reactor_->start()) {
     reactor_.reset();
-    stop_admin_and_core();
+    stop_core();
     return false;
   }
   started_ = true;
   return true;
 }
 
-void SiteServer::stop_admin_and_core() {
-  {
-    std::lock_guard lk(admin_mu_);
-    admin_stop_ = true;
-  }
-  admin_cv_.notify_all();
-  if (admin_thread_.joinable()) admin_thread_.join();
+void SiteServer::stop_core() {
   timers_.stop();
   transport_->stop();
   engine_->stop_all();
@@ -347,21 +336,12 @@ void SiteServer::stop() {
   // Stop client I/O first: the reactor closes every connection and joins
   // its loops; engine callbacks still in flight then hit send_response's
   // late-response drop instead of a dead socket.
-  if (reactor_) {
-    reactor_->stop();
-    reactor_.reset();
-  }
-  // Drain the admin executor (its jobs use the blocking engine API, so it
-  // must go before the engines do).
-  {
-    std::lock_guard lk(admin_mu_);
-    admin_stop_ = true;
-  }
-  admin_cv_.notify_all();
-  if (admin_thread_.joinable()) admin_thread_.join();
+  if (reactor_) reactor_->stop();
   // Abort parked reads / covered waits and stop the apply threads; any
   // remaining async callbacks observe nullopt and drop their responses.
+  // Only then may the reactor object go: those callbacks still call it.
   engine_->stop_all();
+  reactor_.reset();
   timers_.stop();
   // Best effort: let queued protocol traffic reach live peers before the
   // sockets close. A dead peer's queue is dropped (it would be stale for
@@ -743,18 +723,113 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
       send_status(ref, ClientStatus::kOk);
       return;
     }
-    case ClientOp::kStatus:
-    case ClientOp::kMetrics:
-    case ClientOp::kStoreStat:
+    case ClientOp::kStatus: {
+      reply_with_report(ref, [this](const ShardedEngine::Report& r,
+                                    net::Encoder& resp) {
+        const auto stats = transport_->peer_stats();
+        std::uint64_t sent = 0;
+        std::uint64_t recv = 0;
+        std::uint64_t queued = 0;
+        for (const auto& ps : stats) {
+          sent += ps.msgs_sent;
+          recv += ps.msgs_recv;
+          queued += ps.queued;
+        }
+        resp.varint(self_);
+        resp.u8(static_cast<std::uint8_t>(config_.algorithm));
+        resp.varint(r.site.protocol.writes);
+        resp.varint(r.site.protocol.reads);
+        resp.varint(r.site.pending_updates);
+        resp.varint(sent);
+        resp.varint(recv);
+        resp.varint(queued);
+        // Geo extension: this site's region plus per-region peer health
+        // (flat clusters answer region:"" regions:0).
+        const auto& topo = config_.topology;
+        if (topo.empty()) {
+          resp.bytes(std::string{});
+          resp.varint(0);
+        } else {
+          resp.bytes(topo.region_name_of(self_));
+          resp.varint(topo.region_count());
+          for (std::uint32_t reg = 0; reg < topo.region_count(); ++reg) {
+            resp.bytes(topo.region_names[reg]);
+            std::uint64_t total = 0;
+            std::uint64_t up = 0;
+            for (const auto& ps : stats) {
+              if (topo.region_of(ps.site) != reg) continue;
+              ++total;
+              if (ps.connected) ++up;
+            }
+            resp.varint(total);
+            resp.varint(up);
+          }
+        }
+        // Failure-detector extension: the peers this site currently
+        // suspects unreachable.
+        std::vector<causal::SiteId> suspected;
+        for (causal::SiteId peer = 0; peer < config_.site_count(); ++peer) {
+          if (peer != self_ && peer_suspected(peer)) suspected.push_back(peer);
+        }
+        resp.varint(suspected.size());
+        for (const causal::SiteId peer : suspected) resp.varint(peer);
+        // Engine-shard extension: one row per shard.
+        resp.varint(r.shards.size());
+        for (const auto& row : r.shards) {
+          resp.varint(row.protocol.writes);
+          resp.varint(row.protocol.reads);
+          resp.varint(row.pending_updates);
+          resp.varint(row.queue.depth);
+          resp.varint(row.queue.capacity);
+          resp.varint(row.queue.parked_reads);
+          resp.varint(row.queue.covered_waiters);
+        }
+      });
+      return;
+    }
+    case ClientOp::kMetrics: {
+      reply_with_report(
+          ref, [this](const ShardedEngine::Report& r, net::Encoder& resp) {
+            resp.bytes(metrics_text(r));
+          });
+      return;
+    }
+    case ClientOp::kStoreStat: {
+      reply_with_report(
+          ref, [](const ShardedEngine::Report& r, net::Encoder& resp) {
+            const store::EngineStats& st = r.site.store;
+            resp.u8(static_cast<std::uint8_t>(st.kind));
+            resp.varint(st.keys);
+            resp.varint(st.resident_bytes);
+            resp.varint(st.index_slots);
+            resp.varint(st.lookups);
+            resp.varint(st.probes);
+            resp.varint(st.spilled_keys);
+            resp.varint(st.spill_segment_bytes);
+            resp.varint(st.spill_reads);
+            resp.varint(st.spill_writes);
+            resp.varint(st.compactions);
+          });
+      return;
+    }
     case ClientOp::kEngineStat: {
-      // Blocking engine aggregations: run on the admin executor so the
-      // event loop stays free.
-      admin_post([this, ref, op, body = std::move(body)] {
-        net::Decoder areq(body.data(), body.size());
-        areq.u8();  // re-skip the op byte
-        net::Encoder resp;
-        handle_admin_request(op, areq, resp);
-        reactor_->send_response(ref, resp.take());
+      reply_with_report(ref, [this](const ShardedEngine::Report& r,
+                                    net::Encoder& resp) {
+        resp.varint(r.shards.size());
+        resp.varint(engine_->parked_envelopes());
+        resp.varint(engine_->malformed_envelopes());
+        for (const auto& row : r.shards) {
+          resp.varint(row.protocol.writes);
+          resp.varint(row.protocol.reads);
+          resp.varint(row.pending_updates);
+          resp.varint(row.queue.depth);
+          resp.varint(row.queue.capacity);
+          resp.varint(row.queue.peak_depth);
+          resp.varint(row.queue.producer_waits);
+          resp.varint(row.queue.parked_reads);
+          resp.varint(row.queue.covered_waiters);
+          resp.varint(row.queue.enqueued_total());
+        }
       });
       return;
     }
@@ -762,157 +837,21 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
   send_status(ref, ClientStatus::kBadRequest);
 }
 
-void SiteServer::admin_post(std::function<void()> job) {
-  {
-    std::lock_guard lk(admin_mu_);
-    if (admin_stop_) return;  // request dies with the connection
-    admin_q_.push_back(std::move(job));
-  }
-  admin_cv_.notify_one();
-}
-
-void SiteServer::admin_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock lk(admin_mu_);
-      admin_cv_.wait(lk, [this] { return admin_stop_ || !admin_q_.empty(); });
-      if (admin_stop_) return;
-      job = std::move(admin_q_.front());
-      admin_q_.pop_front();
-    }
-    job();
-  }
-}
-
-void SiteServer::handle_admin_request(std::uint8_t op, net::Decoder& req,
-                                      net::Encoder& resp) {
-  const auto status = [&resp](ClientStatus st) {
-    resp.u8(static_cast<std::uint8_t>(st));
-  };
-  switch (static_cast<ClientOp>(op)) {
-    case ClientOp::kStatus: {
-      const auto s = engine_->status();
-      const auto per_shard = engine_->per_shard_stats();
-      if (!s || !per_shard) {
-        status(ClientStatus::kShuttingDown);
-        return;
-      }
-      const auto stats = transport_->peer_stats();
-      std::uint64_t sent = 0;
-      std::uint64_t recv = 0;
-      std::uint64_t queued = 0;
-      for (const auto& ps : stats) {
-        sent += ps.msgs_sent;
-        recv += ps.msgs_recv;
-        queued += ps.queued;
-      }
-      status(ClientStatus::kOk);
-      resp.varint(self_);
-      resp.u8(static_cast<std::uint8_t>(config_.algorithm));
-      resp.varint(s->writes);
-      resp.varint(s->reads);
-      resp.varint(s->pending_updates);
-      resp.varint(sent);
-      resp.varint(recv);
-      resp.varint(queued);
-      // Geo extension: this site's region plus per-region peer health
-      // (flat clusters answer region:"" regions:0).
-      const auto& topo = config_.topology;
-      if (topo.empty()) {
-        resp.bytes(std::string{});
-        resp.varint(0);
-      } else {
-        resp.bytes(topo.region_name_of(self_));
-        resp.varint(topo.region_count());
-        for (std::uint32_t reg = 0; reg < topo.region_count(); ++reg) {
-          resp.bytes(topo.region_names[reg]);
-          std::uint64_t total = 0;
-          std::uint64_t up = 0;
-          for (const auto& ps : stats) {
-            if (topo.region_of(ps.site) != reg) continue;
-            ++total;
-            if (ps.connected) ++up;
-          }
-          resp.varint(total);
-          resp.varint(up);
+void SiteServer::reply_with_report(
+    const net::Reactor::ConnRef& ref,
+    std::function<void(const ShardedEngine::Report&, net::Encoder&)> encode) {
+  engine_->async_report(
+      [this, ref, encode = std::move(encode)](
+          std::optional<ShardedEngine::Report> r) {
+        if (!r) {
+          send_status(ref, ClientStatus::kShuttingDown);
+          return;
         }
-      }
-      // Failure-detector extension: the peers this site currently
-      // suspects unreachable.
-      std::vector<causal::SiteId> suspected;
-      for (causal::SiteId peer = 0; peer < config_.site_count(); ++peer) {
-        if (peer != self_ && peer_suspected(peer)) suspected.push_back(peer);
-      }
-      resp.varint(suspected.size());
-      for (const causal::SiteId peer : suspected) resp.varint(peer);
-      // Engine-shard extension: one row per shard.
-      resp.varint(per_shard->size());
-      for (const auto& row : *per_shard) {
-        resp.varint(row.writes);
-        resp.varint(row.reads);
-        resp.varint(row.pending_updates);
-        resp.varint(row.queue.depth);
-        resp.varint(row.queue.capacity);
-        resp.varint(row.queue.parked_reads);
-        resp.varint(row.queue.covered_waiters);
-      }
-      return;
-    }
-    case ClientOp::kMetrics: {
-      status(ClientStatus::kOk);
-      resp.bytes(metrics_text());
-      return;
-    }
-    case ClientOp::kStoreStat: {
-      const auto stats = engine_->store_stats();
-      if (!stats) {
-        status(ClientStatus::kShuttingDown);
-        return;
-      }
-      status(ClientStatus::kOk);
-      resp.u8(static_cast<std::uint8_t>(stats->kind));
-      resp.varint(stats->keys);
-      resp.varint(stats->resident_bytes);
-      resp.varint(stats->index_slots);
-      resp.varint(stats->lookups);
-      resp.varint(stats->probes);
-      resp.varint(stats->spilled_keys);
-      resp.varint(stats->spill_segment_bytes);
-      resp.varint(stats->spill_reads);
-      resp.varint(stats->spill_writes);
-      resp.varint(stats->compactions);
-      return;
-    }
-    case ClientOp::kEngineStat: {
-      const auto per_shard = engine_->per_shard_stats();
-      if (!per_shard) {
-        status(ClientStatus::kShuttingDown);
-        return;
-      }
-      status(ClientStatus::kOk);
-      resp.varint(per_shard->size());
-      resp.varint(engine_->parked_envelopes());
-      resp.varint(engine_->malformed_envelopes());
-      for (const auto& row : *per_shard) {
-        resp.varint(row.writes);
-        resp.varint(row.reads);
-        resp.varint(row.pending_updates);
-        resp.varint(row.queue.depth);
-        resp.varint(row.queue.capacity);
-        resp.varint(row.queue.peak_depth);
-        resp.varint(row.queue.producer_waits);
-        resp.varint(row.queue.parked_reads);
-        resp.varint(row.queue.covered_waiters);
-        resp.varint(row.queue.enqueued_total());
-      }
-      return;
-    }
-    default:
-      status(ClientStatus::kBadRequest);
-      (void)req;
-      return;
-  }
+        net::Encoder resp;
+        resp.u8(static_cast<std::uint8_t>(ClientStatus::kOk));
+        encode(*r, resp);
+        reactor_->send_response(ref, resp.take());
+      });
 }
 
 HealthStats SiteServer::health_stats() const {
@@ -933,40 +872,26 @@ HealthStats SiteServer::health_stats() const {
   return out;
 }
 
-metrics::Metrics SiteServer::metrics() const {
-  metrics::Metrics merged = transport_->metrics_snapshot();
-  if (const auto proto = engine_->protocol_metrics()) merged.merge(*proto);
-  return merged;
+std::optional<ShardedEngine::Report> SiteServer::report_now() const {
+  return util::block_on<ShardedEngine::Report>(
+      [this](ShardedEngine::ReportCb cb) {
+        engine_->async_report(std::move(cb));
+      });
 }
 
-std::size_t SiteServer::pending_updates() const {
-  const auto s = engine_->status();
-  return s ? static_cast<std::size_t>(s->pending_updates) : 0;
+metrics::Metrics SiteServer::metrics() const {
+  metrics::Metrics merged = transport_->metrics_snapshot();
+  if (const auto r = report_now()) merged.merge(r->site.protocol);
+  return merged;
 }
 
 ProtocolEngine::QueueStats SiteServer::engine_stats() const {
   ProtocolEngine::QueueStats sum;
-  for (const auto& s : engine_->queue_stats()) {
-    sum.depth += s.depth;
-    sum.capacity += s.capacity;
-    sum.peak_depth += s.peak_depth;
-    sum.producer_waits += s.producer_waits;
-    sum.parked_reads += s.parked_reads;
-    sum.covered_waiters += s.covered_waiters;
-    for (std::size_t k = 0; k < ProtocolEngine::kCmdKinds; ++k) {
-      sum.enqueued[k] += s.enqueued[k];
-    }
-  }
+  for (const auto& s : engine_->queue_stats()) sum.accumulate(s);
   return sum;
 }
 
-net::Reactor::Stats SiteServer::reactor_stats() const {
-  return reactor_ ? reactor_->stats() : net::Reactor::Stats{};
-}
-
-std::string SiteServer::metrics_text() const {
-  const auto s = engine_->status();
-  const auto d = engine_->durability_stats();
+std::string SiteServer::metrics_text(const ShardedEngine::Report& r) const {
   std::vector<std::string> site_regions;
   if (!config_.topology.empty()) {
     site_regions.reserve(config_.sites.size());
@@ -974,12 +899,16 @@ std::string SiteServer::metrics_text() const {
       site_regions.push_back(config_.topology.region_name_of(peer));
     }
   }
-  const auto eng = engine_->store_stats();
-  return render_metrics_text(
-      self_, metrics(), engine_->queue_stats(), transport_->peer_stats(),
-      s ? s->pending_updates : 0, d ? *d : Durability::Stats{}, site_regions,
-      health_stats(), eng ? *eng : store::EngineStats{},
-      engine_->parked_envelopes(), engine_->malformed_envelopes());
+  metrics::Metrics merged = transport_->metrics_snapshot();
+  merged.merge(r.site.protocol);
+  std::vector<ProtocolEngine::QueueStats> queues;
+  queues.reserve(r.shards.size());
+  for (const auto& row : r.shards) queues.push_back(row.queue);
+  return render_metrics_text(self_, merged, queues, transport_->peer_stats(),
+                             r.site.pending_updates, r.site.durability,
+                             site_regions, health_stats(), r.site.store,
+                             engine_->parked_envelopes(),
+                             engine_->malformed_envelopes());
 }
 
 }  // namespace ccpr::server

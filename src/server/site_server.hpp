@@ -8,25 +8,22 @@
 // Threading model (docs/RUNTIMES.md has the full picture): each protocol
 // instance is owned exclusively by its shard's apply thread. Reactor loop
 // threads, the transport delivery thread and the timer thread never touch
-// a protocol — they enqueue commands on the shard engines' queues. Hot
-// client ops (put/get/snapshot/token/covered) run fully asynchronously: the
-// reactor hands the decoded frame to handle_client_frame on a loop thread,
-// the engine callback builds the response on an apply thread and posts it
-// back to the owning loop. Admin ops (status/metrics/store-stat/
-// engine-stat) use the blocking engine API on a single admin-executor
-// thread so they cannot stall the event loops. There is no mutex around any
+// a protocol — they enqueue commands on the shard engines' queues. Every
+// client op runs asynchronously: the reactor hands the decoded frame to
+// handle_client_frame on a loop thread, the engine callback builds the
+// response on an apply thread and posts it back to the owning loop. The
+// admin ops (status/metrics/store-stat/engine-stat) are answered from one
+// ShardedEngine::async_report the same way. There is no mutex around any
 // protocol anywhere in this file.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -87,8 +84,9 @@ class SiteServer : net::IMessageSink {
   std::uint32_t engine_shards() const noexcept { return engine_->shards(); }
 
   /// Site metrics: protocol counters merged with the transport counters.
+  /// Blocks on a report from every shard (see util::block_on), so never
+  /// call it from an apply or reactor thread. Readable after stop().
   metrics::Metrics metrics() const;
-  std::size_t pending_updates() const;
   /// Shard-aggregated queue stats (historic single-engine shape).
   ProtocolEngine::QueueStats engine_stats() const;
   /// One QueueStats per shard.
@@ -98,9 +96,6 @@ class SiteServer : net::IMessageSink {
   std::vector<net::TcpTransport::PeerStats> peer_stats() const {
     return transport_->peer_stats();
   }
-  net::Reactor::Stats reactor_stats() const;
-  /// The Prometheus exposition the kMetrics client op serves.
-  std::string metrics_text() const;
 
   /// Chaos injection on this site's transport links (also reachable over
   /// the wire via the kChaos admin op).
@@ -133,9 +128,13 @@ class SiteServer : net::IMessageSink {
   };
 
   void deliver(net::Message msg) override;
-  /// start() failure path once the admin/engine/transport layers are up:
+  /// start() failure path once the engine/transport/timer layers are up:
   /// tear them back down in reverse order.
-  void stop_admin_and_core();
+  void stop_core();
+  /// Blocking report for the catch-up gate and metrics().
+  std::optional<ShardedEngine::Report> report_now() const;
+  /// The Prometheus exposition the kMetrics client op serves.
+  std::string metrics_text(const ShardedEngine::Report& r) const;
   /// Self-rescheduling periodic anti-entropy round on the timer thread.
   void schedule_catchup_tick();
   /// Self-rescheduling heartbeat round: ping every peer, re-evaluate
@@ -143,18 +142,16 @@ class SiteServer : net::IMessageSink {
   void schedule_heartbeat_tick();
   void heartbeat_tick();
 
-  /// Reactor request handler (loop thread): decode the op, kick off the
-  /// async engine work or hand the frame to the admin executor.
+  /// Reactor request handler (loop thread): decode the op and kick off
+  /// the async engine work.
   void handle_client_frame(const net::Reactor::ConnRef& ref,
                            std::vector<std::uint8_t> body);
-  /// Admin executor: blocking engine ops off the event loops.
-  void admin_post(std::function<void()> job);
-  void admin_loop();
-  /// Blocking handler for the admin-side ops (status/metrics/store-stat/
-  /// engine-stat); runs on the admin thread.
-  void handle_admin_request(std::uint8_t op, net::Decoder& req,
-                            net::Encoder& resp);
   void send_status(const net::Reactor::ConnRef& ref, ClientStatus st);
+  /// Answer an admin op from one engine report: kOk plus whatever `encode`
+  /// appends, or kShuttingDown if the engines are stopping.
+  void reply_with_report(
+      const net::Reactor::ConnRef& ref,
+      std::function<void(const ShardedEngine::Report&, net::Encoder&)> encode);
   /// Append the response flags byte and, when requested, per-target
   /// coverage tokens (gathered asynchronously), then send. Takes ownership
   /// of the partially built response body.
@@ -181,13 +178,6 @@ class SiteServer : net::IMessageSink {
 
   std::uint16_t client_port_ = 0;
   std::unique_ptr<net::Reactor> reactor_;
-
-  // ---- admin executor ----
-  std::thread admin_thread_;
-  std::mutex admin_mu_;
-  std::condition_variable admin_cv_;
-  std::deque<std::function<void()>> admin_q_;
-  bool admin_stop_ = false;
 
   std::atomic<bool> stopping_{false};
   bool started_ = false;

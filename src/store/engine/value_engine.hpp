@@ -86,6 +86,21 @@ struct EngineStats {
                         : static_cast<double>(probes) /
                               static_cast<double>(lookups);
   }
+
+  /// Add another engine's counters (the shards of one site). `kind` stays:
+  /// every shard of a site runs the same engine.
+  void accumulate(const EngineStats& o) noexcept {
+    keys += o.keys;
+    resident_bytes += o.resident_bytes;
+    index_slots += o.index_slots;
+    lookups += o.lookups;
+    probes += o.probes;
+    spilled_keys += o.spilled_keys;
+    spill_segment_bytes += o.spill_segment_bytes;
+    spill_reads += o.spill_reads;
+    spill_writes += o.spill_writes;
+    compactions += o.compactions;
+  }
 };
 
 class ValueEngine {

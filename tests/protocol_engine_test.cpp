@@ -1,6 +1,7 @@
 // Unit tests for the single-writer ProtocolEngine: concurrent producers,
 // bounded-queue backpressure, parked covered_by waiters fulfilled by later
-// applies, stop() aborting blocked reads, and queue accounting.
+// applies, stop() aborting blocked reads, and queue accounting. The tests
+// drive the async API through util::block_on, as blocking callers do.
 #include "server/protocol_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "causal/factory.hpp"
 #include "causal/replica_map.hpp"
 #include "metrics/metrics.hpp"
+#include "util/block_on.hpp"
 
 namespace ccpr::server {
 namespace {
@@ -46,6 +48,50 @@ class MessageTrap {
   std::mutex mu_;
   std::vector<net::Message> captured_;
 };
+
+// Blocking views of the async API, one per command the tests issue.
+
+std::optional<ProtocolEngine::WriteResult> write(ProtocolEngine& e,
+                                                 causal::VarId x,
+                                                 std::string data) {
+  return util::block_on<ProtocolEngine::WriteResult>(
+      [&](ProtocolEngine::WriteCb cb) {
+        e.async_write(x, std::move(data), /*local_replica=*/true,
+                      std::move(cb));
+      });
+}
+
+std::optional<causal::Value> read(ProtocolEngine& e, causal::VarId x) {
+  return util::block_on<causal::Value>(
+      [&](ProtocolEngine::ReadCb cb) { e.async_read(x, std::move(cb)); });
+}
+
+std::optional<std::vector<causal::Value>> snapshot(
+    ProtocolEngine& e, std::vector<causal::VarId> xs) {
+  return util::block_on<std::vector<causal::Value>>(
+      [&](ProtocolEngine::SnapshotCb cb) {
+        e.async_snapshot(std::move(xs), std::move(cb));
+      });
+}
+
+std::optional<std::vector<std::uint8_t>> coverage_token(
+    ProtocolEngine& e, causal::SiteId target) {
+  return util::block_on<std::vector<std::uint8_t>>(
+      [&](ProtocolEngine::TokenCb cb) { e.async_token(target, std::move(cb)); });
+}
+
+std::optional<bool> wait_covered(ProtocolEngine& e,
+                                 std::vector<std::uint8_t> token,
+                                 std::uint64_t wait_us) {
+  return util::block_on<bool>([&](ProtocolEngine::CoveredCb cb) {
+    e.async_covered(std::move(token), wait_us, std::move(cb));
+  });
+}
+
+std::optional<ProtocolEngine::Report> report(ProtocolEngine& e) {
+  return util::block_on<ProtocolEngine::Report>(
+      [&](ProtocolEngine::ReportCb cb) { e.async_report(std::move(cb)); });
+}
 
 /// One engine wrapping a protocol instance for site `self` of `rmap`.
 struct EngineSite {
@@ -80,10 +126,10 @@ TEST(ProtocolEngineTest, WritesAndReadsFromManyThreads) {
         const auto x =
             static_cast<causal::VarId>(t + i) % rmap.vars();
         if (i % 2 == 0) {
-          const auto r = site.engine->write(x, "v", true);
+          const auto r = write(*site.engine, x, "v");
           if (!r || r->id.seq == 0) failures.fetch_add(1);
         } else {
-          if (!site.engine->read(x)) failures.fetch_add(1);
+          if (!read(*site.engine, x)) failures.fetch_add(1);
         }
       }
     });
@@ -91,10 +137,10 @@ TEST(ProtocolEngineTest, WritesAndReadsFromManyThreads) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const auto st = site.engine->status();
+  const auto st = report(*site.engine);
   ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->writes, kThreads * kOpsPerThread / 2u);
-  EXPECT_EQ(st->reads, kThreads * kOpsPerThread / 2u);
+  EXPECT_EQ(st->protocol.writes, kThreads * kOpsPerThread / 2u);
+  EXPECT_EQ(st->protocol.reads, kThreads * kOpsPerThread / 2u);
 }
 
 TEST(ProtocolEngineTest, WriteIdsAreSequentialUnderConcurrency) {
@@ -109,7 +155,7 @@ TEST(ProtocolEngineTest, WriteIdsAreSequentialUnderConcurrency) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kWrites; ++i) {
-        const auto r = site.engine->write(0, "v", true);
+        const auto r = write(*site.engine, 0, "v");
         ASSERT_TRUE(r.has_value());
         std::lock_guard lk(mu);
         seqs.push_back(r->id.seq);
@@ -127,9 +173,9 @@ TEST(ProtocolEngineTest, WriteIdsAreSequentialUnderConcurrency) {
 TEST(ProtocolEngineTest, SnapshotIsOneApplySlot) {
   const auto rmap = causal::ReplicaMap::full(1, 3);
   EngineSite site(0, rmap);
-  ASSERT_TRUE(site.engine->write(0, "a", true).has_value());
-  ASSERT_TRUE(site.engine->write(1, "b", true).has_value());
-  const auto values = site.engine->snapshot({0, 1, 2});
+  ASSERT_TRUE(write(*site.engine, 0, "a").has_value());
+  ASSERT_TRUE(write(*site.engine, 1, "b").has_value());
+  const auto values = snapshot(*site.engine, {0, 1, 2});
   ASSERT_TRUE(values.has_value());
   ASSERT_EQ(values->size(), 3u);
   EXPECT_EQ((*values)[0].data, "a");
@@ -137,6 +183,8 @@ TEST(ProtocolEngineTest, SnapshotIsOneApplySlot) {
   EXPECT_TRUE((*values)[2].id.is_initial());
 }
 
+// Client ops enqueue unbounded; the bound holds the peer-side producers.
+// Timer posts are one of them.
 TEST(ProtocolEngineTest, BoundedQueueBlocksProducersAndCountsWaits) {
   const auto rmap = causal::ReplicaMap::full(1, 2);
   EngineSite site(0, rmap, /*queue_capacity=*/2);
@@ -155,7 +203,7 @@ TEST(ProtocolEngineTest, BoundedQueueBlocksProducersAndCountsWaits) {
   std::atomic<int> completed{0};
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&] {
-      if (site.engine->write(0, "v", true)) completed.fetch_add(1);
+      site.engine->post_timer([&] { completed.fetch_add(1); });
     });
   }
   // With the apply thread stalled, at most `capacity` commands may be
@@ -172,6 +220,9 @@ TEST(ProtocolEngineTest, BoundedQueueBlocksProducersAndCountsWaits) {
   }
   gate_cv.notify_all();
   for (auto& th : producers) th.join();
+  // The queue is FIFO: once a report enqueued after every timer answers,
+  // all of them have run.
+  ASSERT_TRUE(report(*site.engine).has_value());
   EXPECT_EQ(completed.load(), kProducers);
   const auto qs = site.engine->queue_stats();
   EXPECT_GT(qs.producer_waits, 0u);
@@ -185,19 +236,19 @@ TEST(ProtocolEngineTest, CoveredWaiterFulfilledByLaterApply) {
   EngineSite a(0, rmap);
   EngineSite b(1, rmap);
 
-  ASSERT_TRUE(a.engine->write(0, "v", true).has_value());
-  const auto token = a.engine->coverage_token(1);
+  ASSERT_TRUE(write(*a.engine, 0, "v").has_value());
+  const auto token = coverage_token(*a.engine, 1);
   ASSERT_TRUE(token.has_value());
 
   // Not covered yet: the wait must time out with verdict false.
-  const auto miss = b.engine->wait_covered(*token, 50'000);
+  const auto miss = wait_covered(*b.engine, *token, 50'000);
   ASSERT_TRUE(miss.has_value());
   EXPECT_FALSE(*miss);
 
   // Park a long wait, then deliver the trapped update; the apply must wake
   // and fulfill the parked waiter well before its deadline.
   std::thread waiter([&] {
-    const auto hit = b.engine->wait_covered(*token, 5'000'000);
+    const auto hit = wait_covered(*b.engine, *token, 5'000'000);
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(*hit);
   });
@@ -217,7 +268,7 @@ TEST(ProtocolEngineTest, StopAbortsBlockedRemoteRead) {
 
   std::atomic<bool> returned{false};
   std::thread reader([&] {
-    const auto v = a.engine->read(1);
+    const auto v = read(*a.engine, 1);
     EXPECT_FALSE(v.has_value());
     returned.store(true);
   });
@@ -228,20 +279,20 @@ TEST(ProtocolEngineTest, StopAbortsBlockedRemoteRead) {
   EXPECT_TRUE(returned.load());
 
   // A stopped engine rejects everything with nullopt.
-  EXPECT_FALSE(a.engine->write(0, "v", true).has_value());
-  EXPECT_FALSE(a.engine->read(0).has_value());
+  EXPECT_FALSE(write(*a.engine, 0, "v").has_value());
+  EXPECT_FALSE(read(*a.engine, 0).has_value());
 }
 
 TEST(ProtocolEngineTest, StopAbortsParkedCoveredWaiter) {
   const auto rmap = causal::ReplicaMap::full(2, 1);
   EngineSite a(0, rmap);
   EngineSite b(1, rmap);
-  ASSERT_TRUE(a.engine->write(0, "v", true).has_value());
-  const auto token = a.engine->coverage_token(1);
+  ASSERT_TRUE(write(*a.engine, 0, "v").has_value());
+  const auto token = coverage_token(*a.engine, 1);
   ASSERT_TRUE(token.has_value());
 
   std::thread waiter([&] {
-    EXPECT_FALSE(b.engine->wait_covered(*token, 30'000'000).has_value());
+    EXPECT_FALSE(wait_covered(*b.engine, *token, 30'000'000).has_value());
   });
   std::this_thread::sleep_for(50ms);
   b.engine->stop();
@@ -251,10 +302,10 @@ TEST(ProtocolEngineTest, StopAbortsParkedCoveredWaiter) {
 TEST(ProtocolEngineTest, QueueStatsCountPerKind) {
   const auto rmap = causal::ReplicaMap::full(1, 2);
   EngineSite site(0, rmap);
-  ASSERT_TRUE(site.engine->write(0, "v", true).has_value());
-  ASSERT_TRUE(site.engine->read(0).has_value());
-  ASSERT_TRUE(site.engine->snapshot({0, 1}).has_value());
-  ASSERT_TRUE(site.engine->status().has_value());
+  ASSERT_TRUE(write(*site.engine, 0, "v").has_value());
+  ASSERT_TRUE(read(*site.engine, 0).has_value());
+  ASSERT_TRUE(snapshot(*site.engine, {0, 1}).has_value());
+  ASSERT_TRUE(report(*site.engine).has_value());
   site.engine->post_timer([] {});
 
   const auto qs = site.engine->queue_stats();
@@ -275,14 +326,22 @@ TEST(ProtocolEngineTest, QueueStatsCountPerKind) {
 TEST(ProtocolEngineTest, MetricsSnapshotReadableAfterStop) {
   const auto rmap = causal::ReplicaMap::full(1, 1);
   EngineSite site(0, rmap);
-  ASSERT_TRUE(site.engine->write(0, "v", true).has_value());
+  ASSERT_TRUE(write(*site.engine, 0, "v").has_value());
   site.engine->stop();
-  const auto m = site.engine->protocol_metrics();
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->writes, 1u);
-  const auto st = site.engine->status();
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->writes, 1u);
+  // A stopped engine answers from its quiescent state, on this thread.
+  std::optional<ProtocolEngine::Report> r;
+  bool answered = false;
+  site.engine->async_report([&](std::optional<ProtocolEngine::Report> v) {
+    r = std::move(v);
+    answered = true;
+  });
+  EXPECT_TRUE(answered);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->protocol.writes, 1u);
+  EXPECT_EQ(r->pending_updates, 0u);
+  const auto again = report(*site.engine);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->protocol.writes, 1u);
 }
 
 // Two threads racing stop() must not both join the apply thread (a second
@@ -291,7 +350,7 @@ TEST(ProtocolEngineTest, MetricsSnapshotReadableAfterStop) {
 TEST(ProtocolEngineTest, ConcurrentStopsAndPostMortemReadsAreSafe) {
   const auto rmap = causal::ReplicaMap::full(1, 1);
   EngineSite site(0, rmap);
-  ASSERT_TRUE(site.engine->write(0, "v", true).has_value());
+  ASSERT_TRUE(write(*site.engine, 0, "v").has_value());
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -301,15 +360,15 @@ TEST(ProtocolEngineTest, ConcurrentStopsAndPostMortemReadsAreSafe) {
     threads.emplace_back([&] {
       // During the stop race these may see nullopt (stop in flight) or the
       // quiescent fallback value; either way they must not crash or race.
-      (void)site.engine->status();
-      (void)site.engine->protocol_metrics();
+      (void)report(*site.engine);
+      (void)report(*site.engine);
     });
   }
   for (auto& th : threads) th.join();
 
-  const auto st = site.engine->status();
+  const auto st = report(*site.engine);
   ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->writes, 1u);
+  EXPECT_EQ(st->protocol.writes, 1u);
 }
 
 }  // namespace

@@ -220,6 +220,62 @@ INSTANTIATE_TEST_SUITE_P(EngineShards, TcpStressTest,
                            return "shards" + std::to_string(info.param);
                          });
 
+// A sharded site answers kStatus from one report taken across all shards,
+// so its site totals equal the sum of its shard rows even while writes
+// land concurrently. SiteServer::metrics() reads the same report after
+// stop() and must still count every write the site served.
+TEST(TcpStressTest, ShardedReportsAgreeUnderLoadAndAfterStop) {
+  auto cfg = stress_config();
+  cfg.protocol.engine_shards = 4;
+
+  std::vector<std::unique_ptr<server::SiteServer>> servers;
+  for (causal::SiteId s = 0; s < kSites; ++s) {
+    servers.push_back(std::make_unique<server::SiteServer>(cfg, s));
+    ASSERT_TRUE(servers.back()->start()) << "site " << s << " failed to bind";
+  }
+
+  constexpr std::size_t kWritesPerSite = 150;
+  std::atomic<std::size_t> writers_left{kSites};
+  std::vector<std::thread> writers;
+  for (causal::SiteId s = 0; s < kSites; ++s) {
+    writers.emplace_back([&, s] {
+      client::Client cli(cfg, s);
+      for (std::size_t i = 0; i < kWritesPerSite; ++i) {
+        cli.put(static_cast<causal::VarId>(i % kVars), "w" + std::to_string(i));
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::size_t probes = 0;
+  {
+    client::Client probe(cfg, 0);
+    do {
+      const auto st = probe.status();
+      ASSERT_EQ(st.shards.size(), 4u);
+      std::uint64_t writes = 0;
+      std::uint64_t reads = 0;
+      std::uint64_t pending = 0;
+      for (const auto& row : st.shards) {
+        writes += row.writes;
+        reads += row.reads;
+        pending += row.pending_updates;
+      }
+      EXPECT_EQ(st.writes, writes);
+      EXPECT_EQ(st.reads, reads);
+      // The site figure adds envelopes parked on cross-shard tokens.
+      EXPECT_GE(st.pending_updates, pending);
+      ++probes;
+    } while (writers_left.load() > 0);
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_GT(probes, 0u);
+
+  for (auto& srv : servers) srv->stop();
+  for (causal::SiteId s = 0; s < kSites; ++s) {
+    EXPECT_EQ(servers[s]->metrics().writes, kWritesPerSite) << "site " << s;
+  }
+}
+
 // Regression test for the dead-peer availability hole: with a blocking
 // per-peer queue cap, the apply thread would park in transport send() once
 // a crashed peer's queue filled — freezing every client op — and stop()
