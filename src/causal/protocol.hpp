@@ -2,7 +2,7 @@
 //
 // A protocol instance is the per-site state machine of one algorithm. It is
 // runtime-agnostic: all side effects go through the Services struct, so the
-// same object runs on the deterministic simulator and on the threaded
+// same object runs on the deterministic simulator and on the TCP
 // runtime. Blocking constructs from the paper are expressed event-style:
 //   * the "wait until <activation predicate>" of an update becomes a pending
 //     buffer that is re-scanned after every apply;
@@ -37,10 +37,9 @@ namespace ccpr::causal {
 /// coverage_token/covered_by) must be invoked from one logical execution
 /// context at a time — concurrent calls are a bug, asserted by ProtocolBase.
 /// Each runtime discharges the contract its own way: the simulator runs
-/// everything on one thread, the threaded cluster serializes under its
-/// cluster mutex, and the TCP runtime funnels every command through the
-/// single-writer server::ProtocolEngine apply thread. The callbacks below
-/// inherit obligations from this:
+/// everything on one thread, and the TCP runtime funnels every command
+/// through the single-writer server::ProtocolEngine apply thread. The
+/// callbacks below inherit obligations from this:
 ///   * `send` is invoked synchronously from inside protocol calls; it must
 ///     not call back into the same protocol instance (it may enqueue).
 ///   * `schedule` callbacks fire on runtime-owned timer machinery; the
@@ -51,7 +50,7 @@ struct Services {
   /// Asynchronous message send; the protocol fills msg.src/dst.
   std::function<void(net::Message)> send;
   /// Current time in microseconds (virtual on the simulator, monotonic wall
-  /// time on the threaded runtime); used for latency accounting only.
+  /// time on the TCP runtime); used for latency accounting only.
   std::function<sim::SimTime()> now;
   /// Optional timer: run `fn` after `delay` microseconds. Enables the §V
   /// availability feature (RemoteFetch timeout + secondary replica). Null

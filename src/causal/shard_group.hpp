@@ -1,5 +1,4 @@
-// N engine shards behind one IProtocol facade, for the sim and threaded
-// runtimes.
+// N engine shards behind one IProtocol facade, for the simulator.
 //
 // ShardGroup partitions a site's keyspace over N inner protocol instances
 // via the cluster-wide causal::ShardMap. Each inner protocol believes it is

@@ -1,8 +1,8 @@
 // Deterministic VarId -> engine-shard map plus the shard-envelope codec.
 //
 // A site running with `engine-shards N` partitions its keyspace into N
-// independent protocol instances ("engine shards"). Every runtime — sim,
-// threaded, TCP — derives the same partition from the cluster-wide shard
+// independent protocol instances ("engine shards"). Every runtime — sim
+// and TCP — derives the same partition from the cluster-wide shard
 // count, so shard k's protocol at site i only ever talks to shard k's
 // protocol at site j. Cross-shard causal dependencies are carried on the
 // wire as explicit coverage tokens (the same freshness requirement client

@@ -1,7 +1,7 @@
 // Records the global history H (per-process operation sequences) and the
 // per-site apply sequences while a cluster runs. The offline CausalChecker
 // consumes this to machine-verify causal-memory semantics after every test
-// run. Thread-safe so the threaded runtime can record too.
+// run. Thread-safe so concurrent client sessions can record too.
 #pragma once
 
 #include <cstdint>

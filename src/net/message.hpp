@@ -1,4 +1,4 @@
-// Transport-level message envelope shared by the simulated and threaded
+// Transport-level message envelope shared by the simulated and TCP
 // runtimes. `body` is an opaque, protocol-defined byte string; the
 // payload/control split exists purely so the metrics layer can report the
 // paper's "message size" metric net of replicated value bytes.

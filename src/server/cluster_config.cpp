@@ -333,11 +333,6 @@ std::optional<ClusterConfig> ClusterConfig::parse(const std::string& text,
           cfg.protocol.engine_shards > 256) {
         return fail(where() + "engine-shards <count, 1..256>");
       }
-    } else if (kw == "client-io-threads") {
-      if (!want(1) || !parse_u32(toks[1], &cfg.client_io_threads) ||
-          cfg.client_io_threads == 0 || cfg.client_io_threads > 64) {
-        return fail(where() + "client-io-threads <count, 1..64>");
-      }
     } else if (kw == "catchup-retain") {
       if (!want(1) || !parse_u32(toks[1], &cfg.catchup_retain)) {
         return fail(where() + "catchup-retain <messages>");
@@ -479,9 +474,6 @@ bool ClusterConfig::validate(std::string* error) const {
   if (protocol.engine_shards == 0 || protocol.engine_shards > 256) {
     return fail("engine-shards must be in 1..256");
   }
-  if (client_io_threads > 64) {
-    return fail("client-io-threads must be in 1..64");
-  }
   if (placement_seed != 0 && placement != PlacementPolicy::kHash) {
     return fail("placement seed is for 'hash' only");
   }
@@ -557,9 +549,6 @@ std::string ClusterConfig::to_text() const {
   }
   if (protocol.engine_shards > 1) {
     out << "engine-shards " << protocol.engine_shards << "\n";
-  }
-  if (client_io_threads > 0) {
-    out << "client-io-threads " << client_io_threads << "\n";
   }
   if (catchup_retain > 0) out << "catchup-retain " << catchup_retain << "\n";
   if (catchup_interval_ms > 0) {

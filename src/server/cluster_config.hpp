@@ -29,8 +29,6 @@
 //   engine-shards 4              # independent engine shards per site
 //                                #   (cluster-wide; 1 = classic single
 //                                #   engine, byte-identical wire format)
-//   client-io-threads 2          # epoll event-loop threads for the TCP
-//                                #   runtime's client port
 //   catchup-retain 8192          # stamped updates retained per peer
 //   catchup-interval-ms 500      # anti-entropy round period
 //   catchup-timeout-ms 2000      # restart waits this long for catch-up
@@ -99,10 +97,6 @@ struct ClusterConfig {
   std::uint32_t sender_batch_bytes = 0;  ///< writev coalescing limit
   std::uint32_t peer_queue_cap = 0;      ///< outbound per-peer queue cap
   std::uint32_t engine_queue_cap = 0;    ///< protocol-engine command cap
-  /// Client-port epoll loops (TCP runtime); 0 = runtime default (2). The
-  /// engine shard count itself lives in protocol.engine_shards so the sim
-  /// and threaded runtimes shard identically.
-  std::uint32_t client_io_threads = 0;
   /// Durability / anti-entropy tuning; 0 = runtime default for each.
   std::uint32_t catchup_retain = 0;       ///< retained updates per peer
   std::uint32_t catchup_interval_ms = 0;  ///< anti-entropy round period

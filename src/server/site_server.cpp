@@ -251,8 +251,7 @@ bool SiteServer::start() {
     return false;
   }
   net::Reactor::Options ropts;
-  ropts.io_threads =
-      config_.client_io_threads > 0 ? config_.client_io_threads : 2;
+  ropts.io_threads = kClientIoThreads;
   ropts.max_frame_bytes = max_frame_bytes_;
   reactor_ = std::make_unique<net::Reactor>(
       std::move(listener), ropts,
@@ -620,9 +619,9 @@ void SiteServer::handle_client_frame(const net::Reactor::ConnRef& ref,
       }
       const bool has_opts = req.remaining() > 0;
       const std::uint8_t sopts = has_opts ? req.u8() : 0;
-      // Single shard: one engine command, the same atomic cut as
-      // ThreadedCluster::read_many. Sharded: a sequence of per-shard cuts
-      // (see sharded_engine.hpp).
+      // Single shard: one engine command, so one atomic cut of the apply
+      // order. Sharded: a sequence of per-shard cuts (see
+      // sharded_engine.hpp).
       engine_->async_snapshot(
           std::move(vars),
           [this, ref, has_opts,

@@ -1,6 +1,6 @@
 // SiteServer: the daemon hosting one site of a real-network cluster.
 //
-// It wires together the third runtime: a TcpTransport toward the peer
+// It wires together the TCP runtime: a TcpTransport toward the peer
 // sites, `engine-shards` protocol state machines behind a ShardedEngine
 // facade, a timer thread for RemoteFetch failover, and an epoll Reactor
 // serving the framed request/response protocol of client_protocol.hpp.
@@ -203,6 +203,8 @@ class SiteServer : net::IMessageSink {
   std::mutex dedup_mu_;
   std::unordered_map<std::uint64_t, PutDedup> put_dedup_;
   static constexpr std::size_t kDedupSessionCap = 4096;
+  /// Epoll event loops serving the client port.
+  static constexpr std::uint32_t kClientIoThreads = 2;
 };
 
 }  // namespace ccpr::server

@@ -18,11 +18,10 @@
 //                     values to a disk segment file.
 //
 // Threading contract: engines are NOT thread-safe. They inherit the
-// protocol's single-caller discipline (see util/single_caller.hpp) — the
-// sim loop, the per-node mutex of ThreadedCluster, or the TCP runtime's
-// single apply thread serializes every call. `find()` may mutate internal
-// state (scratch buffers, probe counters, clock bits) despite being a
-// read, so even concurrent finds are illegal.
+// protocol's single-caller discipline (see causal/protocol.hpp) — the sim
+// loop or the TCP runtime's single apply thread serializes every call.
+// `find()` may mutate internal state (scratch buffers, probe counters,
+// clock bits) despite being a read, so even concurrent finds are illegal.
 //
 // Reference stability: the pointer returned by find() remains valid until
 // the next call that mutates the engine (put/clear/restore/maintain) and

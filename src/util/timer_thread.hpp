@@ -1,6 +1,7 @@
 // A single background thread running delayed callbacks — the wall-clock
-// analogue of the simulator's scheduler, used by the threaded runtime to
-// support Services::schedule (RemoteFetch failover timers).
+// analogue of the simulator's scheduler, used by the TCP runtime's site
+// server to support Services::schedule (RemoteFetch failover timers) and
+// its periodic anti-entropy and heartbeat ticks.
 #pragma once
 
 #include <chrono>

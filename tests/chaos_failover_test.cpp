@@ -25,75 +25,23 @@
 #include "server/client_protocol.hpp"
 #include "server/cluster_config.hpp"
 #include "server/site_server.hpp"
+#include "tcp_test_support.hpp"
 
 namespace ccpr {
 namespace {
 
 using namespace std::chrono_literals;
 
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<net::Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(net::tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;
-}
-
-server::ClusterConfig make_config(std::uint32_t n, std::uint32_t q,
-                                  std::uint32_t p) {
-  auto cfg = server::ClusterConfig::loopback(n, q, p, 0);
-  const auto ports = pick_ports(2 * n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[n + s];
-  }
-  return cfg;
-}
-
-struct Cluster {
-  explicit Cluster(server::ClusterConfig config) : cfg(std::move(config)) {
-    for (causal::SiteId s = 0; s < cfg.site_count(); ++s) {
-      servers.push_back(std::make_unique<server::SiteServer>(cfg, s));
-      EXPECT_TRUE(servers.back()->start()) << "site " << s;
-    }
-  }
-  ~Cluster() {
-    for (auto& s : servers) {
-      if (s) s->stop();
-    }
-  }
-  server::ClusterConfig cfg;
-  std::vector<std::unique_ptr<server::SiteServer>> servers;
-};
-
-/// Poll until `pred` holds or `budget` elapses.
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(20ms);
-  }
-  return pred();
-}
-
-/// Value of the sample whose line starts with `series` ("name{labels}"),
-/// or -1 when the series is absent from the exposition text.
-double metric_value(const std::string& text, const std::string& series) {
-  const auto pos = text.find(series + " ");
-  if (pos == std::string::npos) return -1.0;
-  return std::stod(text.substr(pos + series.size() + 1));
-}
+using testing::eventually;
+using testing::LocalCluster;
+using testing::loopback_config;
+using testing::metric_value;
 
 TEST(ChaosFailoverTest, PartitionOverflowsQueueAndCatchupConverges) {
-  auto cfg = make_config(2, 4, 2);
+  auto cfg = loopback_config(2, 4, 2);
   cfg.peer_queue_cap = 32;  // small, so the partition overflows quickly
   cfg.catchup_interval_ms = 100;
-  Cluster cluster(std::move(cfg));
+  LocalCluster cluster(std::move(cfg));
 
   // Blackhole site 0's link toward site 1. Outbound updates keep queueing
   // (drop-oldest at the cap) instead of vanishing at enqueue.
@@ -143,11 +91,11 @@ TEST(ChaosFailoverTest, PartitionOverflowsQueueAndCatchupConverges) {
 }
 
 TEST(ChaosFailoverTest, SuspicionRoutesFetchesAndFastFailsReads) {
-  auto cfg = make_config(3, 6, 2);
+  auto cfg = loopback_config(3, 6, 2);
   cfg.heartbeat_interval_us = 50'000;   // 50ms pings
   cfg.suspect_after_us = 300'000;       // suspect after 300ms of silence
   cfg.protocol.fetch_timeout_us = 200'000;
-  Cluster cluster(std::move(cfg));
+  LocalCluster cluster(std::move(cfg));
 
   // Ring placement: var 1 lives at {1, 2}; site 0 must fetch it remotely.
   ASSERT_FALSE(cluster.servers[0]->replica_map().replicated_at(1, 0));
@@ -216,8 +164,8 @@ TEST(ChaosFailoverTest, SuspicionRoutesFetchesAndFastFailsReads) {
 }
 
 TEST(ChaosFailoverTest, ClientFailsOverWhenItsSiteDies) {
-  auto cfg = make_config(3, 6, 3);
-  Cluster cluster(std::move(cfg));
+  auto cfg = loopback_config(3, 6, 3);
+  LocalCluster cluster(std::move(cfg));
 
   client::Client::Options fopts;
   fopts.retry.enabled = true;
@@ -277,8 +225,8 @@ TEST(ChaosFailoverTest, ClientFailsOverWhenItsSiteDies) {
 }
 
 TEST(ChaosFailoverTest, PutWithRepeatedRequestIdReplaysStoredResult) {
-  auto cfg = make_config(1, 2, 1);
-  Cluster cluster(std::move(cfg));
+  auto cfg = loopback_config(1, 2, 1);
+  LocalCluster cluster(std::move(cfg));
 
   net::Socket sock =
       net::tcp_dial("127.0.0.1", cluster.cfg.sites[0].client_port);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,10 +15,9 @@
 #include "causal/sim_cluster.hpp"
 #include "checker/causal_checker.hpp"
 #include "client/client.hpp"
-#include "net/socket.hpp"
 #include "server/cluster_config.hpp"
-#include "server/site_server.hpp"
 #include "store/placement.hpp"
+#include "tcp_test_support.hpp"
 #include "workload/workload.hpp"
 
 namespace ccpr {
@@ -121,33 +119,13 @@ TEST(GeoClusterTest, OneConfigDrivesSimRuntime) {
   for (const auto& v : result.violations) ADD_FAILURE() << v;
 }
 
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<net::Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(net::tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;
-}
-
 TEST(GeoClusterTest, TcpClusterReportsRegionsInStatusAndMetrics) {
   auto cfg = load_geo_conf();
   // The example's fixed ports are for humans; tests take kernel-assigned
   // ones so parallel ctest runs cannot collide.
-  const auto ports = pick_ports(2 * cfg.site_count());
-  for (std::uint32_t s = 0; s < cfg.site_count(); ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[cfg.site_count() + s];
-  }
-
-  std::vector<std::unique_ptr<server::SiteServer>> servers;
-  for (causal::SiteId s = 0; s < cfg.site_count(); ++s) {
-    servers.push_back(std::make_unique<server::SiteServer>(cfg, s));
-    ASSERT_TRUE(servers.back()->start()) << "site " << s << " failed to bind";
-  }
+  testing::assign_free_ports(cfg);
+  testing::LocalCluster cluster(cfg);
+  ASSERT_TRUE(cluster.started());
 
   // Nearest-site selection: lowest-id site of the named region.
   EXPECT_EQ(client::Client::nearest_site(cfg, "eu"), 0u);
@@ -196,8 +174,6 @@ TEST(GeoClusterTest, TcpClusterReportsRegionsInStatusAndMetrics) {
     const auto st = cli.status();
     EXPECT_EQ(st.region, "us");
   }
-
-  for (auto& srv : servers) srv->stop();
 }
 
 }  // namespace

@@ -38,26 +38,15 @@
 #include "checker/recorder.hpp"
 #include "client/client.hpp"
 #include "net/chaos.hpp"
-#include "net/socket.hpp"
 #include "server/cluster_config.hpp"
+#include "tcp_test_support.hpp"
 #include "util/rng.hpp"
 
 namespace ccpr {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<net::Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(net::tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;
-}
+using testing::eventually;
 
 class ServerProcess {
  public:
@@ -127,16 +116,6 @@ class TempDir {
  private:
   std::string path_;
 };
-
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(50ms);
-  }
-  return pred();
-}
 
 /// Can we complete a ping against `site` right now?
 bool pingable(const server::ClusterConfig& cfg, causal::SiteId site) {
@@ -234,12 +213,7 @@ TEST_P(NemesisTest, ClusterSurvivesPartitionKillAndSlowLinkRounds) {
   }
 
   const std::uint32_t n = 3, q = 9, p = 2;
-  const auto ports = pick_ports(2 * n);
-  auto cfg = server::ClusterConfig::loopback(n, q, p, 0);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[n + s];
-  }
+  auto cfg = testing::loopback_config(n, q, p);
   cfg.protocol.engine_shards = GetParam();
   cfg.algorithm = causal::Algorithm::kOptTrack;
   cfg.protocol.convergent = true;  // LWW, so healed replicas agree
@@ -452,8 +426,9 @@ TEST_P(NemesisTest, ClusterSurvivesPartitionKillAndSlowLinkRounds) {
 
 INSTANTIATE_TEST_SUITE_P(EngineShards, NemesisTest,
                          ::testing::Values(1u, 4u),
-                         [](const auto& info) {
-                           return "shards" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "shards" +
+                                  std::to_string(param_info.param);
                          });
 
 }  // namespace

@@ -3,7 +3,9 @@
 // session guarantees — the coverage-token handshake must.
 #include <gtest/gtest.h>
 
-#include "store/geo_store.hpp"
+#include "checker/recorder.hpp"
+#include "client/client.hpp"
+#include "tcp_test_support.hpp"
 #include "test_support.hpp"
 
 namespace ccpr::causal {
@@ -94,21 +96,21 @@ TEST(SessionMigrationPartial, TokenOnlyWaitsForTargetRelevantWrites) {
   c.run();
 }
 
-TEST(SessionMigrationStore, GeoStoreSessionMigrates) {
-  store::GeoStore::Options opts;
-  opts.algorithm = Algorithm::kOptTrack;
-  opts.max_delay_us = 300;
-  store::GeoStore store(store::KeySpace({"inbox", "drafts"}),
-                        ReplicaMap::even(3, 2, 2), opts);
-  auto session = store.session(0);
-  session.put("inbox", "42 unread");
+TEST(SessionMigrationStore, ClientSessionMigrates) {
+  auto cfg = ccpr::testing::loopback_config(3, 2, 2);
+  cfg.key_names = {{0, "inbox"}, {1, "drafts"}};
+  ccpr::testing::LocalCluster cluster(cfg);
+  ASSERT_TRUE(cluster.started());
+  checker::HistoryRecorder recorder;
+  client::Client::Options copts;
+  copts.recorder = &recorder;
+  client::Client session(cfg, 0, copts);
+  session.put_key("inbox", "42 unread");
   session.migrate(2);
   EXPECT_EQ(session.site(), 2u);
-  EXPECT_EQ(session.get("inbox"), "42 unread");  // read-your-writes held
-  store.flush();
-  const auto result = checker::check_causal_consistency(
-      store.history(), store.replica_map());
-  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(session.get_key("inbox"), "42 unread");  // read-your-writes held
+  ccpr::testing::drain(cfg);
+  ccpr::testing::expect_causal(recorder, cfg.replica_map());
 }
 
 }  // namespace

@@ -22,26 +22,14 @@
 #include "checker/causal_checker.hpp"
 #include "checker/recorder.hpp"
 #include "client/client.hpp"
-#include "net/socket.hpp"
 #include "server/cluster_config.hpp"
+#include "tcp_test_support.hpp"
 #include "util/rng.hpp"
 
 namespace ccpr {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<net::Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(net::tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;
-}
 
 /// One forked ccpr_server process.
 class ServerProcess {
@@ -110,12 +98,7 @@ void run_session(const server::ClusterConfig& cfg, causal::SiteId site,
 }
 
 TEST(TcpClusterTest, KillAndRestartSurvivesCausalCheck) {
-  const auto ports = pick_ports(6);
-  auto cfg = server::ClusterConfig::loopback(3, 12, 2, 0);
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[3 + s];
-  }
+  auto cfg = testing::loopback_config(3, 12, 2);
   cfg.algorithm = causal::Algorithm::kOptTrack;
   // §V failover: a fetch aimed at the killed site retries the next-ranked
   // replica after this timeout instead of blocking forever.
@@ -235,12 +218,7 @@ TEST(TcpClusterTest, KillAndRestartSurvivesCausalCheck) {
 }
 
 TEST(TcpClusterTest, MigrationPreservesReadYourWrites) {
-  const auto ports = pick_ports(4);
-  auto cfg = server::ClusterConfig::loopback(2, 4, 2, 0);
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[2 + s];
-  }
+  auto cfg = testing::loopback_config(2, 4, 2);
   cfg.algorithm = causal::Algorithm::kOptTrack;
 
   char path[] = "/tmp/ccpr_cluster_XXXXXX";

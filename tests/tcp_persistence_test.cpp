@@ -36,28 +36,16 @@
 #include "checker/convergence.hpp"
 #include "checker/recorder.hpp"
 #include "client/client.hpp"
-#include "net/socket.hpp"
 #include "server/cluster_config.hpp"
 #include "server/durability.hpp"
 #include "store/engine/value_engine.hpp"
+#include "tcp_test_support.hpp"
 #include "util/rng.hpp"
 
 namespace ccpr {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<net::Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(net::tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;
-}
 
 /// One forked ccpr_server process, optionally with extra flags
 /// (--data-dir, --wal-sync).
@@ -172,9 +160,9 @@ class TcpPersistenceTest : public ::testing::TestWithParam<store::EngineKind> {
 INSTANTIATE_TEST_SUITE_P(Engines, TcpPersistenceTest,
                          ::testing::Values(store::EngineKind::kMap,
                                            store::EngineKind::kCompact),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               store::engine_kind_token(info.param));
+                               store::engine_kind_token(param_info.param));
                          });
 
 /// Value of a counter/gauge sample (`name{labels} value`) in Prometheus
@@ -197,19 +185,14 @@ double parse_metric(const std::string& text, const std::string& name) {
 }
 
 TEST_P(TcpPersistenceTest, KillRestartCatchesUpAndConverges) {
-  const auto ports = pick_ports(6);
   // 13 vars, but workload sessions write only vars [0, 12): var 12 is a
   // sentinel reserved for the pre-kill durability probe, placed at the
   // to-be-killed site (and one peer) by an explicit override.
-  auto cfg = server::ClusterConfig::loopback(3, 13, 2, 0);
+  auto cfg = testing::loopback_config(3, 13, 2);
   const std::uint32_t kWorkloadVars = 12;
   const causal::VarId kSentinelVar = 12;
   cfg.placement_overrides.emplace_back(kSentinelVar,
                                        std::vector<causal::SiteId>{2, 0});
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[3 + s];
-  }
   cfg.algorithm = causal::Algorithm::kOptTrack;
   cfg.protocol.fetch_timeout_us = 150000;
   // Convergent LWW mode so the end-of-test convergence audit can demand
@@ -392,10 +375,7 @@ TEST_P(TcpPersistenceTest, KillRestartCatchesUpAndConverges) {
 }
 
 TEST_P(TcpPersistenceTest, BatchSyncSurvivesSigkill) {
-  const auto ports = pick_ports(2);
-  auto cfg = server::ClusterConfig::loopback(1, 4, 1, 0);
-  cfg.sites[0].peer_port = ports[0];
-  cfg.sites[0].client_port = ports[1];
+  auto cfg = testing::loopback_config(1, 4, 1);
   cfg.algorithm = causal::Algorithm::kOptTrack;
   apply_engine(cfg);
 

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,9 +18,9 @@
 #include "checker/causal_checker.hpp"
 #include "checker/recorder.hpp"
 #include "client/client.hpp"
-#include "net/socket.hpp"
 #include "server/cluster_config.hpp"
 #include "server/site_server.hpp"
+#include "tcp_test_support.hpp"
 #include "util/rng.hpp"
 
 namespace ccpr {
@@ -33,25 +32,11 @@ constexpr std::uint32_t kSites = 3;
 constexpr std::uint32_t kVars = 12;
 constexpr causal::VarId kRecordedVars = 6;  // [0,6) recorded, [6,12) hammer
 
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<net::Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(net::tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;
-}
+using testing::LocalCluster;
+using testing::loopback_config;
 
 server::ClusterConfig stress_config() {
-  const auto ports = pick_ports(2 * kSites);
-  auto cfg = server::ClusterConfig::loopback(kSites, kVars, 2, 0);
-  for (std::uint32_t s = 0; s < kSites; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[kSites + s];
-  }
+  auto cfg = loopback_config(kSites, kVars, 2);
   cfg.algorithm = causal::Algorithm::kOptTrack;
   cfg.protocol.fetch_timeout_us = 500'000;
   // Small enough to actually exercise engine backpressure under the
@@ -133,11 +118,8 @@ TEST_P(TcpStressTest, ParallelClientsSurviveCausalCheck) {
   cfg.protocol.engine_shards = GetParam();
   const auto rmap = cfg.replica_map();
 
-  std::vector<std::unique_ptr<server::SiteServer>> servers;
-  for (causal::SiteId s = 0; s < kSites; ++s) {
-    servers.push_back(std::make_unique<server::SiteServer>(cfg, s));
-    ASSERT_TRUE(servers.back()->start()) << "site " << s << " failed to bind";
-  }
+  LocalCluster cluster(cfg);
+  ASSERT_TRUE(cluster.started());
 
   checker::HistoryRecorder recorder;
   std::atomic<std::uint64_t> hammer_ops{0};
@@ -168,13 +150,13 @@ TEST_P(TcpStressTest, ParallelClientsSurviveCausalCheck) {
   // shard count).
   const std::uint32_t shards = GetParam();
   for (causal::SiteId s = 0; s < kSites; ++s) {
-    ASSERT_EQ(servers[s]->engine_shards(), shards);
-    const auto qs = servers[s]->engine_stats();
+    ASSERT_EQ(cluster.servers[s]->engine_shards(), shards);
+    const auto qs = cluster.servers[s]->engine_stats();
     EXPECT_GT(qs.enqueued_total(), 0u) << "site " << s;
     EXPECT_EQ(qs.capacity, cfg.engine_queue_cap * shards) << "site " << s;
-    const auto per_shard = servers[s]->engine_shard_stats();
+    const auto per_shard = cluster.servers[s]->engine_shard_stats();
     EXPECT_EQ(per_shard.size(), shards) << "site " << s;
-    for (const auto& ps : servers[s]->peer_stats()) {
+    for (const auto& ps : cluster.servers[s]->peer_stats()) {
       EXPECT_EQ(ps.queue_cap, cfg.peer_queue_cap);
     }
   }
@@ -200,7 +182,7 @@ TEST_P(TcpStressTest, ParallelClientsSurviveCausalCheck) {
     EXPECT_EQ(st.shards.size(), shards);
   }
 
-  for (auto& srv : servers) srv->stop();
+  cluster.stop();
 
   // Recorded sessions were one per site on a var range the hammer never
   // touched, so their read-from edges all resolve within the recording.
@@ -216,8 +198,9 @@ TEST_P(TcpStressTest, ParallelClientsSurviveCausalCheck) {
 
 INSTANTIATE_TEST_SUITE_P(EngineShards, TcpStressTest,
                          ::testing::Values(1u, 4u),
-                         [](const auto& info) {
-                           return "shards" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "shards" +
+                                  std::to_string(param_info.param);
                          });
 
 // A sharded site answers kStatus from one report taken across all shards,
@@ -228,11 +211,8 @@ TEST(TcpStressTest, ShardedReportsAgreeUnderLoadAndAfterStop) {
   auto cfg = stress_config();
   cfg.protocol.engine_shards = 4;
 
-  std::vector<std::unique_ptr<server::SiteServer>> servers;
-  for (causal::SiteId s = 0; s < kSites; ++s) {
-    servers.push_back(std::make_unique<server::SiteServer>(cfg, s));
-    ASSERT_TRUE(servers.back()->start()) << "site " << s << " failed to bind";
-  }
+  LocalCluster cluster(cfg);
+  ASSERT_TRUE(cluster.started());
 
   constexpr std::size_t kWritesPerSite = 150;
   std::atomic<std::size_t> writers_left{kSites};
@@ -270,9 +250,10 @@ TEST(TcpStressTest, ShardedReportsAgreeUnderLoadAndAfterStop) {
   for (auto& t : writers) t.join();
   EXPECT_GT(probes, 0u);
 
-  for (auto& srv : servers) srv->stop();
+  cluster.stop();
   for (causal::SiteId s = 0; s < kSites; ++s) {
-    EXPECT_EQ(servers[s]->metrics().writes, kWritesPerSite) << "site " << s;
+    EXPECT_EQ(cluster.servers[s]->metrics().writes, kWritesPerSite)
+        << "site " << s;
   }
 }
 
@@ -283,12 +264,7 @@ TEST(TcpStressTest, ShardedReportsAgreeUnderLoadAndAfterStop) {
 // deadlock. The drop-oldest overflow policy must keep the site serving and
 // let stop() return.
 TEST(TcpStressTest, DeadPeerOverflowDoesNotWedgeSiteOrStop) {
-  const auto ports = pick_ports(4);
-  auto cfg = server::ClusterConfig::loopback(2, 4, 2, 0);
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    cfg.sites[s].peer_port = ports[s];
-    cfg.sites[s].client_port = ports[2 + s];
-  }
+  auto cfg = loopback_config(2, 4, 2);
   cfg.algorithm = causal::Algorithm::kOptTrack;
   cfg.peer_queue_cap = 8;  // overflow toward the dead peer quickly
 

@@ -10,24 +10,14 @@
 #include <thread>
 #include <vector>
 
+#include "tcp_test_support.hpp"
+
 namespace ccpr::net {
 namespace {
 
 using namespace std::chrono_literals;
 
-/// Reserve n distinct loopback ports by briefly binding port 0. The sockets
-/// are closed before use; SO_REUSEADDR makes the rebind reliable in practice.
-std::vector<std::uint16_t> pick_ports(std::size_t n) {
-  std::vector<Socket> held;
-  std::vector<std::uint16_t> ports;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint16_t port = 0;
-    held.push_back(tcp_listen("127.0.0.1", 0, &port));
-    EXPECT_TRUE(held.back().valid());
-    ports.push_back(port);
-  }
-  return ports;  // listeners close here
-}
+using ccpr::testing::pick_ports;
 
 class CollectSink : public IMessageSink {
  public:

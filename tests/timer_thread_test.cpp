@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <vector>
 
-#include "causal/threaded_cluster.hpp"
-#include "checker/causal_checker.hpp"
+#include "checker/recorder.hpp"
+#include "client/client.hpp"
+#include "tcp_test_support.hpp"
 
 namespace ccpr::util {
 namespace {
@@ -84,26 +86,31 @@ TEST(TimerThreadTest, StopIsIdempotentAndRestartable) {
   t.stop();
 }
 
-// End to end: the §V failover also works on the threaded runtime now that
-// it has timers.
-TEST(TimerThreadTest, ThreadedClusterFetchFailover) {
-  using namespace ccpr::causal;
-  ThreadedCluster::Options opts;
-  opts.protocol.fetch_timeout_us = 20'000;  // 20ms wall time
-  opts.max_delay_us = 0;
-  // Var 0 at {1, 2}; reader 0 prefers site 1.
-  ThreadedCluster c(Algorithm::kOptTrack,
-                    ReplicaMap::custom(3, {{1, 2}}), opts);
-  c.write(2, 0, "hot-standby");
-  c.drain();
-  // No crash support on the threaded runtime; verify the healthy path has
-  // zero retries and the timer machinery stays silent.
-  EXPECT_EQ(c.read(0, 0).data, "hot-standby");
-  c.drain();
-  EXPECT_EQ(c.metrics().fetch_retries, 0u);
-  const auto result =
-      checker::check_causal_consistency(c.history(), c.replica_map());
-  EXPECT_TRUE(result.ok);
+// End to end: the §V fetch failover runs on the site server's timer
+// thread. Without a crash, a remote read must need no retry and the timer
+// machinery must stay silent.
+TEST(TimerThreadTest, TcpClusterFetchFailover) {
+  auto cfg = ccpr::testing::loopback_config(3, 1, 2);
+  cfg.protocol.fetch_timeout_us = 20'000;  // 20ms wall time
+  // Var 0 at {1, 2}; site 0 reads it remotely.
+  cfg.placement_overrides.emplace_back(0, std::vector<causal::SiteId>{1, 2});
+  ccpr::testing::LocalCluster cluster(cfg);
+  ASSERT_TRUE(cluster.started());
+  checker::HistoryRecorder recorder;
+  client::Client::Options copts;
+  copts.recorder = &recorder;
+  client::Client writer(cfg, 2, copts);
+  client::Client reader(cfg, 0, copts);
+  writer.put(0, "hot-standby");
+  ccpr::testing::drain(cfg);
+  EXPECT_EQ(reader.get(0).data, "hot-standby");
+  ccpr::testing::drain(cfg);
+  std::uint64_t fetch_retries = 0;
+  for (const auto& srv : cluster.servers) {
+    fetch_retries += srv->metrics().fetch_retries;
+  }
+  EXPECT_EQ(fetch_retries, 0u);
+  ccpr::testing::expect_causal(recorder, cfg.replica_map());
 }
 
 }  // namespace
