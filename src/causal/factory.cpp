@@ -1,5 +1,7 @@
 #include "causal/factory.hpp"
 
+#include <string>
+
 #include "causal/ahamad.hpp"
 #include "causal/eventual.hpp"
 #include "causal/protocol_base.hpp"
@@ -97,6 +99,20 @@ std::unique_ptr<IProtocol> make_single(Algorithm alg, SiteId self,
 
 }  // namespace
 
+ProtocolOptions shard_protocol_options(ProtocolOptions opts, std::uint32_t k,
+                                       std::uint32_t n) {
+  opts.engine_shards = 1;
+  // Disjoint WriteId seq spaces: without this, two shards of one site would
+  // both issue (self, 1), (self, 2), ... and WriteIds — the checker's
+  // globally unique write identities — would collide.
+  opts.write_seq_offset = k;
+  opts.write_seq_stride = n;
+  if (!opts.store_engine.spill_dir.empty() && k > 0) {
+    opts.store_engine.spill_dir += "/shard-" + std::to_string(k);
+  }
+  return opts;
+}
+
 std::unique_ptr<IProtocol> make_protocol(Algorithm alg, SiteId self,
                                          const ReplicaMap& rmap, Services svc,
                                          const ProtocolOptions& opts) {
@@ -105,22 +121,12 @@ std::unique_ptr<IProtocol> make_protocol(Algorithm alg, SiteId self,
   }
   // Sharded site: a ShardGroup of single-shard instances. Each inner gets
   // the full ReplicaMap (causal metadata is per-site, so partitioning the
-  // keyspace never changes who tracks whom) and, when the store engine
-  // spills to disk, its own spill directory.
+  // keyspace never changes who tracks whom).
   return std::make_unique<ShardGroup>(
-      opts.engine_shards, self, std::move(svc),
+      opts.engine_shards, rmap.sites(), std::move(svc),
       [alg, self, &rmap, &opts](std::uint32_t k, Services sk) {
-        ProtocolOptions single = opts;
-        single.engine_shards = 1;
-        // Disjoint WriteId seq spaces: without this, two shards of one site
-        // would both issue (self, 1), (self, 2), ... and WriteIds — the
-        // checker's globally unique write identities — would collide.
-        single.write_seq_offset = k;
-        single.write_seq_stride = opts.engine_shards;
-        if (!single.store_engine.spill_dir.empty() && k > 0) {
-          single.store_engine.spill_dir += "/shard-" + std::to_string(k);
-        }
-        return make_single(alg, self, rmap, std::move(sk), single);
+        return make_single(alg, self, rmap, std::move(sk),
+                           shard_protocol_options(opts, k, opts.engine_shards));
       });
 }
 

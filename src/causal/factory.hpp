@@ -35,9 +35,9 @@ struct ProtocolOptions {
   store::EngineOptions store_engine{};
   /// Partition the site's keyspace over this many independent engine
   /// shards (causal::ShardGroup; cluster-wide — every site must agree).
-  /// 1 = unsharded, byte-identical to the pre-sharding behavior. The TCP
-  /// runtime implements sharding in server::ShardedEngine instead and
-  /// always builds single-shard protocols.
+  /// 1 = unsharded: no envelopes, the same wire traffic as a site without
+  /// the option. The TCP runtime implements sharding in
+  /// server::ShardedEngine instead and always builds single-shard protocols.
   std::uint32_t engine_shards = 1;
   /// Carve the per-writer WriteId sequence space: the protocol issues seqs
   /// offset+1, offset+1+stride, offset+1+2*stride, ... Shard k of N uses
@@ -47,6 +47,12 @@ struct ProtocolOptions {
   std::uint64_t write_seq_offset = 0;
   std::uint64_t write_seq_stride = 1;
 };
+
+/// Shard k of an n-shard site: a single-shard instance issuing WriteIds
+/// from shard k's slice of the seq space, with a private `/shard-<k>` spill
+/// directory for k > 0. Used by ShardGroup and the TCP runtime alike.
+ProtocolOptions shard_protocol_options(ProtocolOptions opts, std::uint32_t k,
+                                       std::uint32_t n);
 
 std::unique_ptr<IProtocol> make_protocol(Algorithm alg, SiteId self,
                                          const ReplicaMap& rmap, Services svc,

@@ -1,16 +1,15 @@
 #include "causal/shard_group.hpp"
 
-#include <string_view>
+#include <optional>
+#include <utility>
 
-#include "net/wire.hpp"
 #include "util/assert.hpp"
 
 namespace ccpr::causal {
 
-ShardGroup::ShardGroup(std::uint32_t shards, SiteId self, Services svc,
-                       const ProtocolBuilder& builder)
-    : map_(shards), self_(self), outer_(std::move(svc)) {
-  (void)self_;
+ShardGroup::ShardGroup(std::uint32_t shards, std::uint32_t sites,
+                       Services svc, const ProtocolBuilder& builder)
+    : map_(shards), admission_(shards, sites), outer_(std::move(svc)) {
   inner_.reserve(map_.shards());
   for (std::uint32_t k = 0; k < map_.shards(); ++k) {
     Services sk = outer_;
@@ -32,23 +31,11 @@ ShardGroup::ShardGroup(std::uint32_t shards, SiteId self, Services svc,
 }
 
 void ShardGroup::group_send(std::uint32_t from_shard, net::Message m) {
-  if (map_.shards() == 1) {
-    outer_.send(std::move(m));
-    return;
-  }
-  std::vector<ShardToken> tokens;
-  // Only messages that carry causal state forward need dependency tokens:
-  // updates (the receiver must not apply w before its cross-shard past) and
-  // fetch responses (the reader must not return v before v's cross-shard
-  // past is applied locally). Requests are wrapped for demux only.
-  if (m.kind == net::MsgKind::kUpdate || m.kind == net::MsgKind::kFetchResp) {
-    tokens.reserve(map_.shards() - 1);
-    for (std::uint32_t j = 0; j < map_.shards(); ++j) {
-      if (j == from_shard) continue;
-      tokens.push_back(ShardToken{j, inner_[j]->coverage_token(m.dst)});
-    }
-  }
-  outer_.send(wrap_shard_envelope(from_shard, tokens, m));
+  const std::vector<ShardToken> tokens = admission_.tokens_for(
+      from_shard, m, [this](std::uint32_t j, SiteId dst) {
+        return inner_[j]->coverage_token(dst);
+      });
+  outer_.send(admission_.wrap(from_shard, tokens, std::move(m)));
 }
 
 void ShardGroup::write(VarId x, std::string data) {
@@ -63,57 +50,40 @@ void ShardGroup::read(VarId x, ReadContinuation k) {
 }
 
 void ShardGroup::on_message(const net::Message& msg) {
-  if (map_.shards() == 1) {
+  if (admission_.passthrough()) {
     inner_[0]->on_message(msg);
     return;
   }
-  if (msg.kind != net::MsgKind::kShardEnvelope) {
-    // A sharded site only exchanges envelopes with peers (heartbeats are
-    // handled by the runtime before the protocol sees them).
-    CCPR_DEBUG_ASSERT(false && "non-envelope message at sharded site");
-    ++malformed_;
+  std::optional<ShardEnvelope> env = admission_.unwrap(msg);
+  if (!env) {
+    admission_.count_malformed();
     return;
   }
-  std::optional<ShardEnvelope> env = unwrap_shard_envelope(msg);
-  if (!env || env->shard >= map_.shards()) {
-    ++malformed_;
-    return;
-  }
-  parked_[{msg.src, env->shard}].push_back(std::move(*env));
-  ++parked_total_;
+  admission_.push(msg.src, std::move(*env));
   rescan_parked();
-}
-
-bool ShardGroup::head_ready(const ShardEnvelope& env) {
-  for (const ShardToken& t : env.tokens) {
-    if (t.shard >= map_.shards()) return true;  // stale token: ignore
-    if (!inner_[t.shard]->covered_by(t.token)) return false;
-  }
-  return true;
 }
 
 void ShardGroup::rescan_parked() {
   // A read continuation delivered below may synchronously issue further
   // ShardGroup operations; the guard turns such nested re-scans into no-ops
   // while the outer loop runs to its fixpoint.
-  if (rescanning_ || parked_total_ == 0) return;
+  if (rescanning_ || admission_.parked() == 0) return;
   rescanning_ = true;
+  auto covered = [this](const ShardEnvelope& env) {
+    for (const ShardToken& t : env.tokens) {
+      if (!inner_[t.shard]->covered_by(t.token)) return false;
+    }
+    return true;
+  };
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      std::deque<ShardEnvelope>& q = it->second;
-      while (!q.empty() && head_ready(q.front())) {
-        ShardEnvelope env = std::move(q.front());
-        q.pop_front();
-        --parked_total_;
+    for (std::size_t c = 0; c < admission_.channel_count(); ++c) {
+      while (const ShardEnvelope* h = admission_.head(c)) {
+        if (!covered(*h)) break;
+        ShardEnvelope env = admission_.pop(c);
         progress = true;
         inner_[env.shard]->on_message(env.inner);
-      }
-      if (q.empty()) {
-        it = parked_.erase(it);
-      } else {
-        ++it;
       }
     }
   }
@@ -144,75 +114,6 @@ bool ShardGroup::covered_by(const std::vector<std::uint8_t>& token) {
   return true;
 }
 
-void ShardGroup::serialize_state(net::Encoder& enc) const {
-  enc.varint(map_.shards());
-  for (const auto& p : inner_) {
-    net::Encoder sub;
-    p->serialize_state(sub);
-    enc.bytes(std::string_view(
-        reinterpret_cast<const char*>(sub.buffer().data()),
-        sub.buffer().size()));
-  }
-  enc.varint(parked_total_);
-  for (const auto& [key, q] : parked_) {
-    for (const ShardEnvelope& env : q) {
-      const net::Message m =
-          wrap_shard_envelope(env.shard, env.tokens, env.inner);
-      enc.varint(m.src);
-      enc.varint(m.dst);
-      enc.varint(m.payload_bytes);
-      enc.varint(m.chan_epoch);
-      enc.varint(m.chan_seq);
-      enc.bytes(std::string_view(reinterpret_cast<const char*>(m.body.data()),
-                                 m.body.size()));
-    }
-  }
-}
-
-bool ShardGroup::restore_state(net::Decoder& dec) {
-  if (dec.varint() != map_.shards() || !dec.ok()) return false;
-  for (auto& p : inner_) {
-    const std::string s = dec.bytes();
-    if (!dec.ok()) return false;
-    net::Decoder sub(reinterpret_cast<const std::uint8_t*>(s.data()),
-                     s.size());
-    if (!p->restore_state(sub)) return false;
-  }
-  const std::uint64_t nparked = dec.varint();
-  if (!dec.ok()) return false;
-  for (std::uint64_t i = 0; i < nparked; ++i) {
-    net::Message m;
-    m.kind = net::MsgKind::kShardEnvelope;
-    m.src = static_cast<SiteId>(dec.varint());
-    m.dst = static_cast<SiteId>(dec.varint());
-    m.payload_bytes = static_cast<std::uint32_t>(dec.varint());
-    m.chan_epoch = dec.varint();
-    m.chan_seq = dec.varint();
-    const std::string body = dec.bytes();
-    if (!dec.ok()) return false;
-    m.body.assign(body.begin(), body.end());
-    std::optional<ShardEnvelope> env = unwrap_shard_envelope(m);
-    if (!env || env->shard >= map_.shards()) return false;
-    parked_[{m.src, env->shard}].push_back(std::move(*env));
-    ++parked_total_;
-  }
-  rescan_parked();
-  return true;
-}
-
-void ShardGroup::replay_meta_merge(VarId x, SiteId responder,
-                                   const std::uint8_t* data, std::size_t len) {
-  inner_[map_.shard_of(x)]->replay_meta_merge(x, responder, data, len);
-}
-
-void ShardGroup::merge_all_local_meta() {
-  for (auto& p : inner_) p->merge_all_local_meta();
-}
-
-void ShardGroup::on_durable_checkpoint(std::uint64_t gen) {
-  for (auto& p : inner_) p->on_durable_checkpoint(gen);
-}
-
 store::EngineStats ShardGroup::store_stats() const {
   store::EngineStats sum = inner_[0]->store_stats();
   for (std::size_t k = 1; k < inner_.size(); ++k) {
@@ -222,7 +123,7 @@ store::EngineStats ShardGroup::store_stats() const {
 }
 
 std::size_t ShardGroup::pending_update_count() const {
-  std::size_t n = parked_total_;
+  std::size_t n = admission_.parked();
   for (const auto& p : inner_) n += p->pending_update_count();
   return n;
 }

@@ -3,16 +3,18 @@
 // ShardGroup partitions a site's keyspace over N inner protocol instances
 // via the cluster-wide causal::ShardMap. Each inner protocol believes it is
 // the whole site (full ReplicaMap — causal metadata is per-site, not
-// per-variable, so the partition is safe); it just never sees operations on
-// variables outside its shard. Cross-shard causal order is restored on the
-// wire: every outbound protocol message is wrapped in a kShardEnvelope
-// carrying, for each *other* local shard, that shard's coverage token for
-// the destination site. The receiving ShardGroup parks an envelope until
-// its own shards cover the attached tokens, preserving per-(src, shard)
-// FIFO order while parked.
+// per-variable); it just never sees operations on variables outside its
+// shard. Every envelope decision — which messages carry which tokens, what
+// is malformed, channel order — is causal::ShardAdmission's
+// (shard_admission.hpp). ShardGroup adds the simulator's drive loop: tokens
+// come from the inner protocols' live coverage_token, and every protocol
+// entry point re-scans the parked channel heads against the inner
+// covered_by until no head can be released.
 //
-// With shards == 1 the group is a strict passthrough: no envelopes, no
-// token calls, byte-identical wire traffic to an unsharded site.
+// Durability never holds a ShardGroup: the TCP runtime shards with
+// server::ShardedEngine and builds every inner protocol with
+// engine_shards = 1, so the checkpoint/recovery hooks keep IProtocol's
+// defaults here.
 //
 // Single-writer contract: ShardGroup is one protocol instance to its
 // runtime, so all entry points are already serialized; the inner instances
@@ -22,14 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "causal/protocol.hpp"
+#include "causal/shard_admission.hpp"
 #include "causal/shard_map.hpp"
 
 namespace ccpr::causal {
@@ -42,7 +42,7 @@ class ShardGroup final : public IProtocol {
   using ProtocolBuilder =
       std::function<std::unique_ptr<IProtocol>(std::uint32_t k, Services svc)>;
 
-  ShardGroup(std::uint32_t shards, SiteId self, Services svc,
+  ShardGroup(std::uint32_t shards, std::uint32_t sites, Services svc,
              const ProtocolBuilder& builder);
 
   // ---- IProtocol ----
@@ -53,12 +53,6 @@ class ShardGroup final : public IProtocol {
   const Value& peek(VarId x) const override;
   std::vector<std::uint8_t> coverage_token(SiteId target) override;
   bool covered_by(const std::vector<std::uint8_t>& token) override;
-  void serialize_state(net::Encoder& enc) const override;
-  bool restore_state(net::Decoder& dec) override;
-  void replay_meta_merge(VarId x, SiteId responder, const std::uint8_t* data,
-                         std::size_t len) override;
-  void merge_all_local_meta() override;
-  void on_durable_checkpoint(std::uint64_t gen) override;
   store::EngineStats store_stats() const override;
   std::size_t pending_update_count() const override;
   std::uint64_t log_entry_count() const override;
@@ -70,31 +64,26 @@ class ShardGroup final : public IProtocol {
   IProtocol& shard(std::uint32_t k) { return *inner_[k]; }
 
   /// Envelopes currently parked on unmet cross-shard tokens (all channels).
-  std::size_t parked_envelope_count() const noexcept { return parked_total_; }
-  /// Envelopes dropped because their body failed to decode.
-  std::uint64_t malformed_envelopes() const noexcept { return malformed_; }
+  std::size_t parked_envelope_count() const noexcept {
+    return admission_.parked();
+  }
+  /// Inbound messages dropped as malformed.
+  std::uint64_t malformed_envelopes() const noexcept {
+    return admission_.malformed();
+  }
 
  private:
   void group_send(std::uint32_t from_shard, net::Message m);
-  bool head_ready(const ShardEnvelope& env);
   /// Deliver every channel head whose tokens are covered; loops to a
   /// fixpoint since each delivery can cover further tokens.
   void rescan_parked();
 
   ShardMap map_;
-  SiteId self_;
+  ShardAdmission admission_;
   Services outer_;
   std::vector<std::unique_ptr<IProtocol>> inner_;
   std::uint32_t last_write_shard_ = 0;
   bool has_local_write_ = false;
-
-  // Per-(src site, shard) FIFO of parked envelopes. Only the head of each
-  // channel is eligible; later entries wait behind it to preserve channel
-  // order. std::map keeps rescan order deterministic for the simulator.
-  std::map<std::pair<SiteId, std::uint32_t>, std::deque<ShardEnvelope>>
-      parked_;
-  std::size_t parked_total_ = 0;
-  std::uint64_t malformed_ = 0;
   bool rescanning_ = false;
 };
 

@@ -84,9 +84,7 @@ Client::Client(server::ClusterConfig config, causal::SiteId site,
       site_(site),
       opts_(opts),
       max_frame_bytes_(opts.max_frame_bytes > 0 ? opts.max_frame_bytes
-                       : config_.max_frame_bytes > 0
-                           ? config_.max_frame_bytes
-                           : net::kDefaultMaxFrameBytes),
+                                                : net::kDefaultMaxFrameBytes),
       session_id_(random_session_id()),
       backoff_rng_(random_session_id()) {
   if (site_ >= config_.site_count()) fail_usage("site id out of range");

@@ -131,7 +131,7 @@ class Client {
     std::chrono::milliseconds connect_timeout{5000};
     /// Per-request receive timeout (a remote fetch can be slow; 0 = none).
     std::chrono::milliseconds request_timeout{30000};
-    std::uint32_t max_frame_bytes = 0;  ///< 0 = the config's / default
+    std::uint32_t max_frame_bytes = 0;  ///< 0 = net::kDefaultMaxFrameBytes
     /// Optional client-side history recording for the offline checker.
     checker::HistoryRecorder* recorder = nullptr;
     RetryPolicy retry;

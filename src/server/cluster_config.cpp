@@ -311,10 +311,6 @@ std::optional<ClusterConfig> ClusterConfig::parse(const std::string& text,
         return fail(where() + "fetch-timeout-us <microseconds>");
       }
       cfg.protocol.fetch_timeout_us = us;
-    } else if (kw == "max-frame-bytes") {
-      if (!want(1) || !parse_u32(toks[1], &cfg.max_frame_bytes)) {
-        return fail(where() + "max-frame-bytes <bytes>");
-      }
     } else if (kw == "sender-batch-bytes") {
       if (!want(1) || !parse_u32(toks[1], &cfg.sender_batch_bytes)) {
         return fail(where() + "sender-batch-bytes <bytes>");
@@ -332,10 +328,6 @@ std::optional<ClusterConfig> ClusterConfig::parse(const std::string& text,
           cfg.protocol.engine_shards == 0 ||
           cfg.protocol.engine_shards > 256) {
         return fail(where() + "engine-shards <count, 1..256>");
-      }
-    } else if (kw == "catchup-retain") {
-      if (!want(1) || !parse_u32(toks[1], &cfg.catchup_retain)) {
-        return fail(where() + "catchup-retain <messages>");
       }
     } else if (kw == "catchup-interval-ms") {
       if (!want(1) || !parse_u32(toks[1], &cfg.catchup_interval_ms)) {
@@ -537,9 +529,6 @@ std::string ClusterConfig::to_text() const {
   if (protocol.fetch_timeout_us > 0) {
     out << "fetch-timeout-us " << protocol.fetch_timeout_us << "\n";
   }
-  if (max_frame_bytes > 0) {
-    out << "max-frame-bytes " << max_frame_bytes << "\n";
-  }
   if (sender_batch_bytes > 0) {
     out << "sender-batch-bytes " << sender_batch_bytes << "\n";
   }
@@ -550,7 +539,6 @@ std::string ClusterConfig::to_text() const {
   if (protocol.engine_shards > 1) {
     out << "engine-shards " << protocol.engine_shards << "\n";
   }
-  if (catchup_retain > 0) out << "catchup-retain " << catchup_retain << "\n";
   if (catchup_interval_ms > 0) {
     out << "catchup-interval-ms " << catchup_interval_ms << "\n";
   }

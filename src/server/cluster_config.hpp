@@ -22,14 +22,12 @@
 //   convergent true              # optional ProtocolOptions overrides
 //   fetch-timeout-us 250000
 //   no-gating true
-//   max-frame-bytes 16777216
 //   sender-batch-bytes 262144    # writev coalescing limit (1 = no batching)
 //   peer-queue-cap 65536         # outbound msgs/peer before send() blocks
 //   engine-queue-cap 4096        # protocol commands before producers block
 //   engine-shards 4              # independent engine shards per site
 //                                #   (cluster-wide; 1 = classic single
 //                                #   engine, byte-identical wire format)
-//   catchup-retain 8192          # stamped updates retained per peer
 //   catchup-interval-ms 500      # anti-entropy round period
 //   catchup-timeout-ms 2000      # restart waits this long for catch-up
 //   checkpoint-every 4096        # WAL records between checkpoints
@@ -92,13 +90,11 @@ struct ClusterConfig {
       placement_overrides;
   std::vector<std::pair<causal::VarId, std::string>> key_names;
   causal::ProtocolOptions protocol{};
-  std::uint32_t max_frame_bytes = 0;  ///< 0 = transport default
   /// I/O-path tuning; 0 means "use the runtime default" for each.
   std::uint32_t sender_batch_bytes = 0;  ///< writev coalescing limit
   std::uint32_t peer_queue_cap = 0;      ///< outbound per-peer queue cap
   std::uint32_t engine_queue_cap = 0;    ///< protocol-engine command cap
   /// Durability / anti-entropy tuning; 0 = runtime default for each.
-  std::uint32_t catchup_retain = 0;       ///< retained updates per peer
   std::uint32_t catchup_interval_ms = 0;  ///< anti-entropy round period
   std::uint32_t catchup_timeout_ms = 0;   ///< restart catch-up gate bound
   std::uint32_t checkpoint_every = 0;     ///< WAL records per checkpoint

@@ -37,7 +37,6 @@ Durability::Durability(Options opts, std::function<void(net::Message)> send)
     : opts_(std::move(opts)), send_(std::move(send)) {
   CCPR_EXPECTS(opts_.sites > 0 && opts_.self < opts_.sites);
   CCPR_EXPECTS(send_ != nullptr);
-  if (opts_.catchup_retain == 0) opts_.catchup_retain = 1;
   if (opts_.checkpoint_every == 0) opts_.checkpoint_every = 1;
   if (opts_.catchup_burst == 0) opts_.catchup_burst = 1;
   out_.resize(opts_.sites);
@@ -251,7 +250,7 @@ void Durability::on_protocol_send(net::Message msg) {
     // *after* this one and deadlock the receiver.
     if (opts_.wrap_update) msg = opts_.wrap_update(std::move(msg));
     o.retained.push_back(msg);
-    if (o.retained.size() > opts_.catchup_retain) {
+    if (o.retained.size() > kCatchupRetain) {
       o.retained.pop_front();
       o.first_retained = o.next_seq - o.retained.size() + 1;
     }

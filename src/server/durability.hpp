@@ -63,6 +63,9 @@ namespace ccpr::server {
 
 class Durability {
  public:
+  /// Retained stamped kUpdate copies per destination (the catch-up window).
+  static constexpr std::size_t kCatchupRetain = 8192;
+
   struct Options {
     /// Empty => no WAL: channels and catch-up still run (they also heal
     /// bounded-queue overflow drops), but nothing survives a restart.
@@ -70,8 +73,6 @@ class Durability {
     Wal::Sync wal_sync = Wal::Sync::kAlways;
     causal::SiteId self = 0;
     std::uint32_t sites = 0;
-    /// Retained stamped kUpdate copies per destination (catch-up window).
-    std::size_t catchup_retain = 8192;
     /// Appended records between checkpoints.
     std::uint64_t checkpoint_every = 4096;
     /// Max retained updates re-sent per kCatchupReq. Must stay below the

@@ -1,5 +1,6 @@
 #include "server/sharded_engine.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -9,7 +10,10 @@ namespace ccpr::server {
 ShardedEngine::ShardedEngine(std::uint32_t shards, causal::SiteId self,
                              std::uint32_t n_sites,
                              ProtocolEngine::Options engine_opts)
-    : map_(shards), self_(self), n_sites_(n_sites) {
+    : map_(shards),
+      self_(self),
+      n_sites_(n_sites),
+      admission_(shards, n_sites) {
   engines_.reserve(map_.shards());
   metrics_.reserve(map_.shards());
   for (std::uint32_t k = 0; k < map_.shards(); ++k) {
@@ -18,6 +22,7 @@ ShardedEngine::ShardedEngine(std::uint32_t shards, causal::SiteId self,
   }
   token_cache_.assign(map_.shards(),
                       std::vector<std::vector<std::uint8_t>>(n_sites_));
+  armed_.assign(admission_.channel_count(), false);
 }
 
 ShardedEngine::~ShardedEngine() { stop_all(); }
@@ -28,22 +33,17 @@ void ShardedEngine::set_transport_send(
 }
 
 net::Message ShardedEngine::wrap(std::uint32_t shard, net::Message msg) {
-  if (map_.shards() == 1) return msg;
   std::vector<causal::ShardToken> tokens;
-  if (msg.kind == net::MsgKind::kUpdate ||
-      msg.kind == net::MsgKind::kFetchResp) {
-    std::lock_guard lk(token_mu_);
-    tokens.reserve(map_.shards() - 1);
-    for (std::uint32_t j = 0; j < map_.shards(); ++j) {
-      if (j == shard) continue;
-      const auto& tok = token_cache_[j][msg.dst];
-      // Empty = never published, which only happens on a fresh boot before
-      // shard j's first batch — its token would be trivially covered, so
-      // carrying nothing is equivalent (recovery publishes before start).
-      if (!tok.empty()) tokens.push_back(causal::ShardToken{j, tok});
-    }
+  {
+    // One token_mu_ acquisition, and only for kinds that carry tokens.
+    std::unique_lock lk(token_mu_, std::defer_lock);
+    tokens = admission_.tokens_for(
+        shard, msg, [&](std::uint32_t j, causal::SiteId dst) {
+          if (!lk.owns_lock()) lk.lock();
+          return token_cache_[j][dst];
+        });
   }
-  return causal::wrap_shard_envelope(shard, tokens, std::move(msg));
+  return admission_.wrap(shard, tokens, std::move(msg));
 }
 
 void ShardedEngine::wrap_and_send(std::uint32_t shard, net::Message msg) {
@@ -86,72 +86,53 @@ void ShardedEngine::stop_all() {
 }
 
 void ShardedEngine::deliver(net::Message msg) {
-  if (map_.shards() == 1) {
+  if (admission_.passthrough()) {
     engines_[0]->apply_message(std::move(msg));
     return;
   }
-  if (msg.kind != net::MsgKind::kShardEnvelope) {
-    // Sharded peers only exchange envelopes; anything else is a config
-    // mismatch (peer running a different shard count) — drop and count.
-    malformed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::optional<causal::ShardEnvelope> env = causal::unwrap_shard_envelope(msg);
-  if (!env || env->shard >= map_.shards()) {
-    malformed_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t key = chan_key(msg.src, env->shard);
+  std::optional<causal::ShardEnvelope> env = admission_.unwrap(msg);
+  std::size_t chan = 0;
   bool arm = false;
   {
     std::lock_guard lk(adm_mu_);
-    Chan& c = chans_[key];
-    c.q.push_back(std::move(*env));
-    parked_envelopes_.fetch_add(1, std::memory_order_relaxed);
-    if (!c.armed) {
-      c.armed = true;
-      arm = true;
+    if (!env) {
+      admission_.count_malformed();
+      return;
     }
+    chan = admission_.push(msg.src, std::move(*env));
+    arm = !armed_[chan];
+    armed_[chan] = true;
   }
-  if (arm) arm_or_drain(key, /*bounded=*/true);
+  if (arm) arm_or_drain(chan, /*bounded=*/true);
 }
 
-void ShardedEngine::arm_or_drain(std::uint64_t key, bool bounded) {
+void ShardedEngine::arm_or_drain(std::size_t chan, bool bounded) {
   for (;;) {
     std::vector<causal::ShardToken> tokens;
+    std::optional<causal::ShardEnvelope> ready;
     {
       std::lock_guard lk(adm_mu_);
-      auto it = chans_.find(key);
-      if (it == chans_.end() || it->second.q.empty()) {
-        if (it != chans_.end()) chans_.erase(it);
+      const causal::ShardEnvelope* head = admission_.head(chan);
+      if (head == nullptr) {
+        armed_[chan] = false;
         return;
       }
-      for (const causal::ShardToken& t : it->second.q.front().tokens) {
-        if (t.shard < map_.shards() && t.shard != it->second.q.front().shard &&
-            !t.token.empty()) {
-          tokens.push_back(t);
-        }
+      if (head->tokens.empty()) {
+        ready = admission_.pop(chan);
+      } else {
+        tokens = head->tokens;
       }
     }
-    if (tokens.empty()) {
-      // Head carries no checkable dependencies (fetch/catch-up requests, or
-      // trivially covered): release it here and look at the next head.
-      causal::ShardEnvelope env;
-      {
-        std::lock_guard lk(adm_mu_);
-        auto it = chans_.find(key);
-        if (it == chans_.end() || it->second.q.empty()) return;
-        env = std::move(it->second.q.front());
-        it->second.q.pop_front();
-        parked_envelopes_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      engines_[env.shard]->apply_message(std::move(env.inner), bounded);
+    if (ready) {
+      // Head carries no checkable dependencies (requests, or trivially
+      // covered): release it here and look at the next head.
+      engines_[ready->shard]->apply_message(std::move(ready->inner), bounded);
       continue;
     }
     auto gate = std::make_shared<Gate>();
     gate->remaining.store(static_cast<std::uint32_t>(tokens.size()),
                           std::memory_order_relaxed);
-    gate->chan_key = key;
+    gate->chan = chan;
     for (causal::ShardToken& t : tokens) {
       // Verdict value is irrelevant: covered -> proceed; nullopt (engine
       // stopping) -> proceed too, the release enqueue is then a no-op drop,
@@ -160,7 +141,7 @@ void ShardedEngine::arm_or_drain(std::uint64_t key, bool bounded) {
           std::move(t.token),
           [this, gate](std::optional<bool>) {
             if (gate->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              on_gate_open(gate->chan_key);
+              on_gate_open(gate->chan);
             }
           },
           bounded);
@@ -169,21 +150,17 @@ void ShardedEngine::arm_or_drain(std::uint64_t key, bool bounded) {
   }
 }
 
-void ShardedEngine::on_gate_open(std::uint64_t key) {
+void ShardedEngine::on_gate_open(std::size_t chan) {
   causal::ShardEnvelope env;
   {
     std::lock_guard lk(adm_mu_);
-    auto it = chans_.find(key);
-    if (it == chans_.end() || it->second.q.empty()) return;
-    env = std::move(it->second.q.front());
-    it->second.q.pop_front();
-    parked_envelopes_.fetch_sub(1, std::memory_order_relaxed);
+    env = admission_.pop(chan);
   }
   // Runs on whichever shard's apply thread reported the last verdict (or on
   // the poster's thread when an engine is stopping): everything below must
   // stay non-blocking, hence unbounded enqueues.
   engines_[env.shard]->apply_message(std::move(env.inner), /*bounded=*/false);
-  arm_or_drain(key, /*bounded=*/false);
+  arm_or_drain(chan, /*bounded=*/false);
 }
 
 // ---- client-facing async API ----
@@ -379,6 +356,16 @@ void ShardedEngine::async_report(ReportCb cb) {
           st->cb(std::move(out));
         });
   }
+}
+
+std::uint64_t ShardedEngine::parked_envelopes() const {
+  std::lock_guard lk(adm_mu_);
+  return admission_.parked();
+}
+
+std::uint64_t ShardedEngine::malformed_envelopes() const {
+  std::lock_guard lk(adm_mu_);
+  return admission_.malformed();
 }
 
 std::vector<ProtocolEngine::QueueStats> ShardedEngine::queue_stats() const {

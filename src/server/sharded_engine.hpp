@@ -1,53 +1,38 @@
 // ShardedEngine: N ProtocolEngine shards behind one site-server facade.
 //
-// The TCP runtime's counterpart to causal::ShardGroup. Each shard is a full
-// single-writer ProtocolEngine — its own apply thread, bounded MPSC queue,
-// durability layer (WAL under <data-dir>/shard-<k> for k > 0) and value
-// store — running an unmodified single-shard protocol over the cluster-wide
-// causal::ShardMap partition of the keyspace. With shards == 1 everything
-// here is a strict passthrough and the site behaves byte-identically to the
-// pre-sharding server.
+// The TCP runtime's sharding layer. Each shard is a full single-writer
+// ProtocolEngine — its own apply thread, bounded queue, durability layer
+// (WAL under <data-dir>/shard-<k> for k > 0) and value store — running a
+// single-shard protocol over the cluster-wide causal::ShardMap. Every
+// envelope decision is causal::ShardAdmission's (shard_admission.hpp); with
+// one shard everything here is a passthrough. This layer adds:
 //
-// Cross-shard causal order (shards > 1):
-//
-//  * Outbound: every protocol message leaves through wrap(): shard k's
-//    update / fetch-response gets the *other* local shards' coverage tokens
-//    for the destination attached inside a kShardEnvelope. Tokens come from
-//    a per-shard cache refreshed by each shard's batch-end hook — published
-//    BEFORE that batch's client callbacks fire, so the cache provably
-//    covers anything any session has observed (publish-before-fulfill; see
-//    protocol_engine.hpp). Reading the cache is a mutex-protected lookup:
-//    shard k never blocks on shard j's apply thread.
-//
-//  * Inbound: deliver() unwraps envelopes into per-(source site, shard)
-//    FIFO channels. The head envelope's tokens are posted to the target
-//    shards as deadline-less covered-waiters; when the last one reports
-//    covered, the head is released into its shard's queue and the next head
-//    is armed. Later envelopes wait behind the head, preserving exactly the
-//    per-channel order an unsharded site gets from its single queue.
-//    Cross-shard waits are acyclic in the happens-before order the senders
-//    serialized, so parked envelopes always drain (no timeout needed); the
-//    parked count is exported for observability.
-//
-// Client-visible session state: coverage tokens become the framed
-// concatenation of every shard's token (causal::combine_shard_tokens), and
-// covered-waits split the token and wait on every shard. Multi-key
-// snapshots degrade from "one apply slot" to a sequence of per-shard
-// consistent cuts issued in shard order — still a causally consistent read
-// sequence, no longer a single atomic cut (documented in RUNTIMES.md).
+//  * a token cache: each shard's batch-end hook publishes its coverage
+//    tokens BEFORE that batch's client callbacks fire, so the cache covers
+//    anything a session has observed (publish-before-fulfill; see
+//    protocol_engine.hpp), and wrap() never blocks on another apply thread;
+//  * asynchronous gates: a channel head's tokens become deadline-less
+//    covered-waiters on the target shards, and the last verdict releases
+//    the head into its shard's queue and arms the next one. Cross-shard
+//    waits are acyclic in the senders' happens-before order, so parked
+//    envelopes always drain;
+//  * the client API fanned out over shards: session tokens are the framed
+//    concatenation of every shard's token, and multi-key snapshots are a
+//    sequence of per-shard consistent cuts in shard order (a causally
+//    consistent read sequence, no longer one atomic cut; see RUNTIMES.md).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "causal/shard_admission.hpp"
 #include "causal/shard_map.hpp"
 #include "metrics/metrics.hpp"
 #include "server/protocol_engine.hpp"
@@ -86,13 +71,12 @@ class ShardedEngine {
   /// before any shard starts.
   void set_transport_send(std::function<void(net::Message)> send);
 
-  /// Attach shard k's current cross-shard coverage tokens (kUpdate /
-  /// kFetchResp only) and wrap in a kShardEnvelope. Identity when
-  /// shards == 1. Installed as each shard Durability's wrap_update hook so
-  /// stamped updates are wrapped *before* retention and catch-up resends
-  /// replay the original-send tokens verbatim — fresh tokens at resend
-  /// time could reference writes parked behind the resent update at the
-  /// receiver, a cross-shard deadlock.
+  /// Shard k's envelope around `msg`, with tokens from the cache (identity
+  /// when shards == 1). Installed as each shard Durability's wrap_update
+  /// hook so stamped updates are wrapped *before* retention and catch-up
+  /// resends replay the original-send tokens verbatim — fresh tokens at
+  /// resend time could reference writes parked behind the resent update at
+  /// the receiver, a cross-shard deadlock.
   net::Message wrap(std::uint32_t shard, net::Message msg);
 
   /// Shard k's durability transport_send target: wraps fresh protocol
@@ -141,35 +125,22 @@ class ShardedEngine {
 
   std::vector<ProtocolEngine::QueueStats> queue_stats() const;
   /// Envelopes parked on unmet cross-shard tokens right now.
-  std::uint64_t parked_envelopes() const noexcept {
-    return parked_envelopes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t malformed_envelopes() const noexcept {
-    return malformed_envelopes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t parked_envelopes() const;
+  std::uint64_t malformed_envelopes() const;
 
  private:
-  /// One inbound per-(src, shard) FIFO. Invariant: armed_ == !q.empty()
-  /// outside adm_mu_ critical sections.
-  struct Chan {
-    std::deque<causal::ShardEnvelope> q;
-    bool armed = false;
-  };
   /// Countdown for one armed head's token set.
   struct Gate {
     std::atomic<std::uint32_t> remaining{0};
-    std::uint64_t chan_key = 0;
+    std::size_t chan = 0;
   };
 
-  static std::uint64_t chan_key(causal::SiteId src, std::uint32_t shard) {
-    return (static_cast<std::uint64_t>(src) << 32) | shard;
-  }
-  /// Arm (or immediately drain) the head of `key`'s channel. `bounded`
+  /// Arm (or immediately drain) the head of channel `chan`. `bounded`
   /// selects blocking vs non-blocking enqueues for the covered-waiter
   /// posts and the release apply — false whenever the caller may be an
   /// apply thread.
-  void arm_or_drain(std::uint64_t key, bool bounded);
-  void on_gate_open(std::uint64_t key);
+  void arm_or_drain(std::size_t chan, bool bounded);
+  void on_gate_open(std::size_t chan);
 
   causal::ShardMap map_;
   causal::SiteId self_;
@@ -184,10 +155,14 @@ class ShardedEngine {
   mutable std::mutex token_mu_;
   std::vector<std::vector<std::vector<std::uint8_t>>> token_cache_;
 
+  /// Channels, counters and armed_ are guarded by adm_mu_. The admission's
+  /// const calls (tokens_for, wrap, unwrap) read only its immutable shape
+  /// and run unlocked.
   mutable std::mutex adm_mu_;
-  std::unordered_map<std::uint64_t, Chan> chans_;
-  std::atomic<std::uint64_t> parked_envelopes_{0};
-  std::atomic<std::uint64_t> malformed_envelopes_{0};
+  causal::ShardAdmission admission_;
+  /// armed_[chan]: a drive loop owns the channel's head (an armed gate or
+  /// a drain in progress); cleared only when that loop finds it empty.
+  std::vector<bool> armed_;
 };
 
 }  // namespace ccpr::server

@@ -35,10 +35,7 @@ SiteServer::SiteServer(ClusterConfig config, causal::SiteId self, Options opts)
     : config_(std::move(config)),
       self_(self),
       opts_(std::move(opts)),
-      rmap_(config_.replica_map()),
-      max_frame_bytes_(config_.max_frame_bytes > 0
-                           ? config_.max_frame_bytes
-                           : net::kDefaultMaxFrameBytes) {
+      rmap_(config_.replica_map()) {
   CCPR_EXPECTS(self_ < config_.site_count());
   if (opts_.engine_shards.has_value()) {
     config_.protocol.engine_shards = std::max<std::uint32_t>(
@@ -51,7 +48,6 @@ SiteServer::SiteServer(ClusterConfig config, causal::SiteId self, Options opts)
   topts.self = self_;
   topts.listen_host = config_.sites[self_].host;
   topts.listen_port = config_.sites[self_].peer_port;
-  topts.max_frame_bytes = max_frame_bytes_;
   topts.jitter_seed = 0xcc9e0000u + self_;
   if (config_.sender_batch_bytes > 0) {
     topts.max_batch_bytes = config_.sender_batch_bytes;
@@ -92,9 +88,6 @@ SiteServer::SiteServer(ClusterConfig config, causal::SiteId self, Options opts)
     dopts.wal_sync = opts_.wal_sync;
     dopts.self = self_;
     dopts.sites = config_.site_count();
-    if (config_.catchup_retain > 0) {
-      dopts.catchup_retain = config_.catchup_retain;
-    }
     if (config_.checkpoint_every > 0) {
       dopts.checkpoint_every = config_.checkpoint_every;
     }
@@ -146,13 +139,6 @@ SiteServer::SiteServer(ClusterConfig config, causal::SiteId self, Options opts)
     svc.peer_suspected = [this](causal::SiteId s) { return peer_suspected(s); };
 
     causal::ProtocolOptions popts = config_.protocol;
-    // The ShardedEngine owns the sharding here; each inner protocol is a
-    // plain single-shard instance (a nested ShardGroup would double-wrap),
-    // but issues WriteIds from shard k's slice of the seq space so the
-    // site's shards never collide on (writer, seq).
-    popts.engine_shards = 1;
-    popts.write_seq_offset = k;
-    popts.write_seq_stride = shards;
     if (opts_.store_engine.has_value()) {
       popts.store_engine.kind = *opts_.store_engine;
     }
@@ -162,12 +148,12 @@ SiteServer::SiteServer(ClusterConfig config, causal::SiteId self, Options opts)
     if (!opts_.data_dir.empty()) {
       popts.store_engine.spill_dir =
           opts_.data_dir + "/spill-site-" + std::to_string(self_);
-      if (k > 0) {
-        popts.store_engine.spill_dir += "/shard-" + std::to_string(k);
-      }
     } else {
       popts.store_engine.spill_budget_bytes = 0;
     }
+    // The ShardedEngine owns the sharding here; each inner protocol is a
+    // plain single-shard instance (a nested ShardGroup would double-wrap).
+    popts = causal::shard_protocol_options(std::move(popts), k, shards);
     auto proto = causal::make_protocol(config_.algorithm, self_, rmap_,
                                        std::move(svc), popts);
     shard_protos_[k] = proto.get();
@@ -252,7 +238,6 @@ bool SiteServer::start() {
   }
   net::Reactor::Options ropts;
   ropts.io_threads = kClientIoThreads;
-  ropts.max_frame_bytes = max_frame_bytes_;
   reactor_ = std::make_unique<net::Reactor>(
       std::move(listener), ropts,
       [this](const net::Reactor::ConnRef& ref,

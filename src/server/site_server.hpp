@@ -163,7 +163,6 @@ class SiteServer : net::IMessageSink {
   causal::SiteId self_;
   Options opts_;
   causal::ReplicaMap rmap_;
-  std::uint32_t max_frame_bytes_;
 
   metrics::Metrics transport_metrics_;
   std::unique_ptr<net::TcpTransport> transport_;

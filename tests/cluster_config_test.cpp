@@ -226,14 +226,12 @@ TEST(ClusterConfigTest, ValidateCatchesBadProgrammaticConfigs) {
 
 TEST(ClusterConfigTest, DurabilityKeysParseAndRoundTrip) {
   const std::string text = std::string(kBasic) +
-                           "catchup-retain 1024\n"
                            "catchup-interval-ms 250\n"
                            "catchup-timeout-ms 5000\n"
                            "checkpoint-every 2048\n";
   std::string error;
   const auto cfg = ClusterConfig::parse(text, &error);
   ASSERT_TRUE(cfg.has_value()) << error;
-  EXPECT_EQ(cfg->catchup_retain, 1024u);
   EXPECT_EQ(cfg->catchup_interval_ms, 250u);
   EXPECT_EQ(cfg->catchup_timeout_ms, 5000u);
   EXPECT_EQ(cfg->checkpoint_every, 2048u);
@@ -245,7 +243,6 @@ TEST(ClusterConfigTest, DurabilityKeysParseAndRoundTrip) {
   // Omitted keys mean "runtime default" and must not serialize.
   const auto base = ClusterConfig::parse(kBasic, &error);
   ASSERT_TRUE(base.has_value()) << error;
-  EXPECT_EQ(base->catchup_retain, 0u);
   EXPECT_EQ(base->to_text().find("catchup-"), std::string::npos);
 }
 
@@ -448,11 +445,9 @@ ClusterConfig random_config(util::Rng& rng) {
                          : 0u;
   };
   cfg.protocol.fetch_timeout_us = opt_u32(0.5);
-  cfg.max_frame_bytes = opt_u32(0.5);
   cfg.sender_batch_bytes = opt_u32(0.5);
   cfg.peer_queue_cap = opt_u32(0.5);
   cfg.engine_queue_cap = opt_u32(0.5);
-  cfg.catchup_retain = opt_u32(0.5);
   cfg.catchup_interval_ms = opt_u32(0.5);
   cfg.catchup_timeout_ms = opt_u32(0.5);
   cfg.checkpoint_every = opt_u32(0.5);
@@ -503,11 +498,9 @@ TEST(ClusterConfigTest, EveryFieldRoundTripsProperty) {
         << text;
     EXPECT_EQ(back->protocol.fetch_timeout_us, cfg.protocol.fetch_timeout_us)
         << text;
-    EXPECT_EQ(back->max_frame_bytes, cfg.max_frame_bytes) << text;
     EXPECT_EQ(back->sender_batch_bytes, cfg.sender_batch_bytes) << text;
     EXPECT_EQ(back->peer_queue_cap, cfg.peer_queue_cap) << text;
     EXPECT_EQ(back->engine_queue_cap, cfg.engine_queue_cap) << text;
-    EXPECT_EQ(back->catchup_retain, cfg.catchup_retain) << text;
     EXPECT_EQ(back->catchup_interval_ms, cfg.catchup_interval_ms) << text;
     EXPECT_EQ(back->catchup_timeout_ms, cfg.catchup_timeout_ms) << text;
     EXPECT_EQ(back->checkpoint_every, cfg.checkpoint_every) << text;
